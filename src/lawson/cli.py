@@ -122,7 +122,7 @@ def _emit_plain(result, max_r: Optional[int]) -> None:
     )
     print(header)
     print("-" * len(header))
-    for r in range(max(top_r, 0) + 1):
+    for r in range(top_r + 1):
         cells = []
         for k in range(2 * table.dim + 1):
             if k < 2 * r:

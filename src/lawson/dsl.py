@@ -16,6 +16,11 @@ naturals capped at 1000000:
     natlist := "[" nat {"," nat} "]"
     flag    := "smooth" | "simplicial" | "general"
 
+Constructors nest at most MAX_DEPTH (200) deep: a constructor with
+subexpressions that would open level MAX_DEPTH + 1 is rejected.  Each
+keyword and its argument shapes are declared once, on its node class in
+:mod:`lawson.varieties`; the parser walks those declarations.
+
 Parsing is syntax only: semantic rules (dimension positivity, cone-count
 consistency, and so on) belong to :func:`lawson.varieties.validate`.
 Every failure raises :class:`ParseError` carrying the offending source span
@@ -27,32 +32,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .varieties import (
-    AffineSpace,
-    Cellular,
-    CellularFiberBundle,
-    Decomposition,
-    FixedComponent,
-    HilbertScheme,
-    Point,
-    Product,
-    ProjectiveSpace,
-    SingularHypersurface,
-    Smoothness,
-    SplitQuadric,
-    Suspension,
-    SymmetricProduct,
-    Toric,
-    Torus,
-    VarietyExpr,
-)
+from .varieties import NODE_TYPES, FixedComponent, Smoothness, VarietyExpr
 
 MAX_LITERAL = 1_000_000
 
-_KEYWORD_STARTS = (
-    "pt", "P", "affine", "torus", "quadric", "singquadric", "cellular",
-    "toric", "susp", "prod", "bundle", "decomp", "sp", "hilb",
-)
+# Deep enough for every realistic tree, shallow enough that parsing,
+# validation, evaluation and rendering stay well inside the interpreter's
+# default recursion limit.
+MAX_DEPTH = 200
+
+_KEYWORD_STARTS = tuple(NODE_TYPES)
 
 
 @dataclass(frozen=True)
@@ -101,9 +90,9 @@ def _lex(text: str) -> list[_Token]:
             tokens.append(_Token(ch, ch, i, i + 1))
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < length and text[j].isdigit():
+            while j < length and text[j].isdecimal():
                 j += 1
             tokens.append(_Token("number", text[i:j], i, j))
             i = j
@@ -124,6 +113,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # constructors with subexpressions currently open
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -163,6 +153,8 @@ class _Parser:
         self.expect("]")
         return tuple(values)
 
+    cells = natlist
+
     def flag(self) -> Smoothness:
         token = self.peek()
         if token.kind == "name":
@@ -176,6 +168,13 @@ class _Parser:
             tuple(s.value for s in Smoothness),
         )
 
+    def comps(self) -> tuple[FixedComponent, ...]:
+        components = [self.component()]
+        while self.peek().kind == ",":
+            self.advance()
+            components.append(self.component())
+        return tuple(components)
+
     def component(self) -> FixedComponent:
         inner = self.expr()
         self.expect(":")
@@ -187,96 +186,31 @@ class _Parser:
             raise ParseError(
                 "expected a variety expression", token.span, _KEYWORD_STARTS
             )
-        head = token.text
-        if head == "pt":
-            self.advance()
-            return Point()
-        single = {
-            "P": ProjectiveSpace,
-            "affine": AffineSpace,
-            "torus": Torus,
-            "quadric": SplitQuadric,
-        }
-        if head in single:
-            self.advance()
-            self.expect("(")
-            n = self.nat()
-            self.expect(")")
-            return single[head](n)
-        if head == "singquadric":
-            self.advance()
-            self.expect("(")
-            m = self.nat()
-            self.expect(",")
-            d = self.nat()
-            self.expect(")")
-            return SingularHypersurface(m, d)
-        if head == "cellular":
-            self.advance()
-            self.expect("(")
-            cells = self.natlist()
-            self.expect(")")
-            return Cellular(cells)
-        if head == "toric":
-            self.advance()
-            self.expect("(")
-            counts = self.natlist()
-            smoothness = Smoothness.SMOOTH
-            if self.peek().kind == ",":
-                self.advance()
-                smoothness = self.flag()
-            self.expect(")")
-            return Toric(counts, smoothness)
-        if head == "susp":
-            self.advance()
-            self.expect("(")
-            inner = self.expr()
-            self.expect(")")
-            return Suspension(inner)
-        if head == "prod":
-            self.advance()
-            self.expect("(")
-            left = self.expr()
-            self.expect(",")
-            right = self.expr()
-            self.expect(")")
-            return Product(left, right)
-        if head == "bundle":
-            self.advance()
-            self.expect("(")
-            base = self.expr()
-            self.expect(",")
-            cells = self.natlist()
-            self.expect(")")
-            return CellularFiberBundle(base, cells)
-        if head == "decomp":
-            self.advance()
-            self.expect("(")
-            components = [self.component()]
-            while self.peek().kind == ",":
-                self.advance()
-                components.append(self.component())
-            self.expect(")")
-            return Decomposition(tuple(components))
-        if head == "sp":
-            self.advance()
-            self.expect("(")
-            inner = self.expr()
-            self.expect(",")
-            d = self.nat()
-            self.expect(")")
-            return SymmetricProduct(inner, d)
-        if head == "hilb":
-            self.advance()
-            self.expect("(")
-            b2 = self.nat()
-            self.expect(",")
-            d = self.nat()
-            self.expect(")")
-            return HilbertScheme(b2, d)
-        raise ParseError(
-            f"unknown variety constructor {head!r}", token.span, _KEYWORD_STARTS
-        )
+        node = NODE_TYPES.get(token.text)
+        if node is None:
+            raise ParseError(
+                f"unknown variety constructor {token.text!r}", token.span, _KEYWORD_STARTS
+            )
+        self.advance()
+        if not node.syntax:
+            return node()
+        nests = "expr" in node.syntax or "comps" in node.syntax
+        if nests and self.depth == MAX_DEPTH:
+            raise ParseError(
+                f"constructors nest deeper than the bound {MAX_DEPTH}", token.span
+            )
+        self.depth += nests
+        self.expect("(")
+        args = []
+        for i, shape in enumerate(node.syntax):
+            if shape == "flag" and self.peek().kind != ",":
+                break  # the optional flag keeps its default
+            if i:
+                self.expect(",")
+            args.append(getattr(self, shape)())
+        self.expect(")")
+        self.depth -= nests
+        return node(*args)
 
 
 def parse(text: str | bytes) -> VarietyExpr:

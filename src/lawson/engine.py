@@ -15,6 +15,11 @@ implements the corresponding structure theorem:
 * symmetric products specialize to rational coefficients through the
   MacDonald product.
 
+The table rule of each node class is its entry in ``_BUILD``; the classes
+themselves, with their syntax and attribute rules, live in
+:mod:`lawson.varieties`.  :func:`evaluate` validates the whole tree once and
+then builds the tables in one walk over the recorded attributes.
+
 The split quadric deliberately has two independent routes: a closed form
 here, and its fixed-component decomposition into two projective spaces.
 ``run_checks`` replays those dual routes (and the other cross-checks) as a
@@ -57,9 +62,9 @@ from .varieties import (
     SymmetricProduct,
     Toric,
     Torus,
-    ValidationError,
     VarietyAttributes,
     VarietyExpr,
+    check_cone_counts,
     render,
     smooth_toric_betti,
     validate,
@@ -90,6 +95,20 @@ class EvaluationResult:
 # table builders
 
 
+def _constant_columns(
+    dim: int, proper: bool, coefficients: Coefficients, degree_ranks
+) -> BiGradedTable:
+    # The shape a cell decomposition gives: the degree-k rank, taken from the
+    # mapping degree_ranks, repeats on every row r with 2r <= k.
+    ranks = {
+        (r, k): value
+        for k, value in degree_ranks.items()
+        if value
+        for r in range(k // 2 + 1)
+    }
+    return BiGradedTable(dim, proper, coefficients, ranks)
+
+
 def cellular_table(cells: Iterable[int], proper: bool = True) -> BiGradedTable:
     """Table of a variety with cells of the given dimensions: every group in
     degree k = 2m has rank equal to the number of m-cells, independent of r."""
@@ -98,11 +117,8 @@ def cellular_table(cells: Iterable[int], proper: bool = True) -> BiGradedTable:
         raise ValueError("the cell list must be nonempty")
     if any(c < 0 for c in cell_list):
         raise ValueError("cell dimensions must be nonnegative")
-    ranks: dict[tuple[int, int], int] = {}
-    for m, count in Counter(cell_list).items():
-        for r in range(m + 1):
-            ranks[(r, 2 * m)] = count
-    return BiGradedTable(max(cell_list), proper, Coefficients.INTEGER, ranks)
+    degrees = Counter(2 * c for c in cell_list)
+    return _constant_columns(max(cell_list), proper, Coefficients.INTEGER, degrees)
 
 
 def torus_table(n: int) -> BiGradedTable:
@@ -167,23 +183,7 @@ def decompose(components: Sequence[FixedComponent]) -> BiGradedTable:
     """Assemble a table from the fixed components of a C*-action: component
     (F, s) contributes its table shifted by s in cycle dimension and 2s in
     degree.  All components must be projective with integer coefficients."""
-    fixed = tuple(components)
-    if not fixed:
-        raise ValueError("a decomposition needs at least one component")
-    summands = []
-    for part in fixed:
-        if part.shift < 0:
-            raise ValidationError("component shifts must be nonnegative")
-        result = evaluate(part.component)
-        if not result.table.proper:
-            raise ValidationError("decomposition components must be projective")
-        if result.table.coefficients is not Coefficients.INTEGER:
-            raise UnsupportedQueryError(
-                "decomposition components must carry integer coefficients"
-            )
-        summands.append((result.table, part.shift))
-    target = max(table.dim + shift for table, shift in summands)
-    return shift_and_sum(summands, target, proper=True)
+    return evaluate(Decomposition(tuple(components))).table
 
 
 def fiber_bundle_table(
@@ -210,30 +210,16 @@ def quadric_table(d: int) -> BiGradedTable:
     two routes can check each other."""
     if d < 1:
         raise ValueError("the split quadric requires d >= 1")
-    n = 2 * d
-    ranks: dict[tuple[int, int], int] = {}
-    for k in range(0, 2 * n + 1, 2):
-        value = 2 if k == 2 * d else 1
-        for r in range(k // 2 + 1):
-            ranks[(r, k)] = value
-    return BiGradedTable(n, True, Coefficients.INTEGER, ranks)
+    degrees = {k: 2 if k == 2 * d else 1 for k in range(0, 4 * d + 1, 2)}
+    return _constant_columns(2 * d, True, Coefficients.INTEGER, degrees)
 
 
 def toric_smooth_table(cone_counts: Sequence[int]) -> BiGradedTable:
     """Table of a smooth proper toric variety from its cone counts, through
     the alternating-sum Betti numbers; constant down each column."""
-    counts = tuple(cone_counts)
-    if not counts:
-        raise ValidationError("cone counts must be nonempty")
-    if counts[0] != 1:
-        raise ValidationError("d_0 must be 1: the zero cone is unique")
-    betti = smooth_toric_betti(counts)
-    ranks: dict[tuple[int, int], int] = {}
-    for m, b in enumerate(betti):
-        if b:
-            for r in range(m + 1):
-                ranks[(r, 2 * m)] = b
-    return BiGradedTable(len(counts) - 1, True, Coefficients.INTEGER, ranks)
+    counts = check_cone_counts(cone_counts)
+    degrees = {2 * m: b for m, b in enumerate(smooth_toric_betti(counts))}
+    return _constant_columns(len(counts) - 1, True, Coefficients.INTEGER, degrees)
 
 
 def hilb_table(b2: int, d: int) -> BiGradedTable:
@@ -245,13 +231,8 @@ def hilb_table(b2: int, d: int) -> BiGradedTable:
     if b2 < 0:
         raise ValueError("the middle Betti number must be nonnegative")
     series = cheah_series(b2, d)
-    ranks: dict[tuple[int, int], int] = {}
-    for k in range(0, 4 * d + 1):
-        value = series.coefficient(k, d)
-        if value:
-            for r in range(k // 2 + 1):
-                ranks[(r, k)] = value
-    return BiGradedTable(2 * d, True, Coefficients.INTEGER, ranks)
+    degrees = {k: series.coefficient(k, d) for k in range(0, 4 * d + 1)}
+    return _constant_columns(2 * d, True, Coefficients.INTEGER, degrees)
 
 
 def sp_table(
@@ -275,15 +256,11 @@ def sp_table(
     counts = Counter(c - base for c in cells)
     betti = [counts.get(i, 0) for i in range(top - base + 1)]
     series = macdonald_series(betti, d)
-    n = d * top
     offset = 2 * d * base
-    ranks: dict[tuple[int, int], int] = {}
-    for k in range(0, 2 * d * (top - base) + 1):
-        value = series.coefficient(k, d)
-        if value:
-            for r in range((k + offset) // 2 + 1):
-                ranks[(r, k + offset)] = value
-    return BiGradedTable(n, proper, Coefficients.RATIONAL, ranks)
+    degrees = {
+        k + offset: series.coefficient(k, d) for k in range(0, 2 * d * (top - base) + 1)
+    }
+    return _constant_columns(d * top, proper, Coefficients.RATIONAL, degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -293,69 +270,84 @@ def sp_table(
 def evaluate(expr: VarietyExpr) -> EvaluationResult:
     """Validate an expression and build its rank table.
 
+    Validation covers the whole tree before any table is built, so a
+    validation error anywhere wins over an unsupported query elsewhere.
     Simplicial and general toric descriptions are rejected here with an
     unsupported-query error: only their Euler profiles are computable, via
     :func:`euler_profile` or :func:`chi_toric`.  Suspensions and
     decompositions of rational-coefficient expressions are likewise
     unsupported, since those two rules are stated integrally.
     """
-    attributes = validate(expr)
-    table = _build_table(expr, attributes)
-    return EvaluationResult(render(expr), attributes, table)
+    recorded: dict[int, VarietyAttributes] = {}
+    attributes = validate(expr, recorded)
+
+    def attrs(node: VarietyExpr) -> VarietyAttributes:
+        return recorded[id(node)]
+
+    def build(node: VarietyExpr) -> BiGradedTable:
+        return _BUILD[type(node)](node, attrs, build)
+
+    return EvaluationResult(render(expr), attributes, build(expr))
 
 
-def _build_table(expr: VarietyExpr, attributes: VarietyAttributes) -> BiGradedTable:
-    if isinstance(expr, Point):
-        return cellular_table((0,))
-    if isinstance(expr, ProjectiveSpace):
-        return cellular_table(range(expr.n + 1))
-    if isinstance(expr, AffineSpace):
-        return cellular_table((expr.n,), proper=False)
-    if isinstance(expr, Cellular):
-        return cellular_table(expr.cells, proper=expr.proper)
-    if isinstance(expr, Torus):
-        return torus_table(expr.n)
-    if isinstance(expr, (SplitQuadric, SingularHypersurface)):
-        return quadric_table(expr.d)
-    if isinstance(expr, Toric):
-        if expr.smoothness is not Smoothness.SMOOTH:
-            raise UnsupportedQueryError(
-                "unsupported full-table query: only the chi profile is computable "
-                "from simplicial or general cone counts; use `chi`"
-            )
-        return toric_smooth_table(expr.cone_counts)
-    if isinstance(expr, Suspension):
-        inner = evaluate(expr.inner).table
-        if inner.coefficients is not Coefficients.INTEGER:
-            raise UnsupportedQueryError(
-                "unsupported full-table query: the suspension rule is stated "
-                "for integer coefficients"
-            )
-        return suspend(inner)
-    if isinstance(expr, Product):
-        base, fiber_cells = _product_as_bundle(expr)
-        return fiber_bundle_table(
-            evaluate(base).table, fiber_cells, proper=attributes.proper
+def _integral(table: BiGradedTable, message: str) -> BiGradedTable:
+    if table.coefficients is not Coefficients.INTEGER:
+        raise UnsupportedQueryError(message)
+    return table
+
+
+def _toric_rule(e: Toric, attrs, build) -> BiGradedTable:
+    if e.smoothness is not Smoothness.SMOOTH:
+        raise UnsupportedQueryError(
+            "unsupported full-table query: only the chi profile is computable "
+            "from simplicial or general cone counts; use `chi`"
         )
-    if isinstance(expr, CellularFiberBundle):
-        return fiber_bundle_table(evaluate(expr.base).table, expr.fiber_cells)
-    if isinstance(expr, Decomposition):
-        return decompose(expr.components)
-    if isinstance(expr, SymmetricProduct):
-        profile = validate(expr.inner).cell_profile
-        return sp_table(profile, expr.d, proper=attributes.proper)
-    if isinstance(expr, HilbertScheme):
-        return hilb_table(expr.b2, expr.d)
-    raise TypeError(f"not a variety expression: {expr!r}")
+    return toric_smooth_table(e.cone_counts)
 
 
-def _product_as_bundle(expr: Product) -> tuple[VarietyExpr, tuple[int, ...]]:
-    # A product is evaluated as a bundle whose fiber is a cellular factor;
-    # validate() has already guaranteed at least one side qualifies.
-    right = validate(expr.right)
-    if right.cell_profile is not None:
-        return expr.left, right.cell_profile
-    return expr.right, validate(expr.left).cell_profile
+def _suspension_rule(e: Suspension, attrs, build) -> BiGradedTable:
+    message = "unsupported full-table query: the suspension rule is stated"
+    return suspend(_integral(build(e.inner), message + " for integer coefficients"))
+
+
+def _product_rule(e: Product, attrs, build) -> BiGradedTable:
+    # A product is a bundle whose fiber is a cell-profiled factor; validate()
+    # has already guaranteed that at least one side has a profile.
+    base, fiber = e.left, attrs(e.right).cell_profile
+    if fiber is None:
+        base, fiber = e.right, attrs(e.left).cell_profile
+    return fiber_bundle_table(build(base), fiber, proper=attrs(e).proper)
+
+
+def _decomposition_rule(e: Decomposition, attrs, build) -> BiGradedTable:
+    message = "decomposition components must carry integer coefficients"
+    summands = [(_integral(build(p.component), message), p.shift) for p in e.components]
+    return shift_and_sum(summands, attrs(e).dim, proper=True)
+
+
+# One table rule per node class: rule(expr, attrs, build), where attrs(node)
+# gives a node's validated attributes and build(node) its table.  Builders
+# are looked up by name at call time, so wrappers installed on them apply.
+_BUILD = {
+    Point: lambda e, attrs, build: cellular_table((0,)),
+    ProjectiveSpace: lambda e, attrs, build: cellular_table(range(e.n + 1)),
+    AffineSpace: lambda e, attrs, build: cellular_table((e.n,), proper=False),
+    Cellular: lambda e, attrs, build: cellular_table(e.cells),
+    Torus: lambda e, attrs, build: torus_table(e.n),
+    SplitQuadric: lambda e, attrs, build: quadric_table(e.d),
+    SingularHypersurface: lambda e, attrs, build: quadric_table(e.d),
+    Toric: _toric_rule,
+    Suspension: _suspension_rule,
+    Product: _product_rule,
+    CellularFiberBundle: lambda e, attrs, build: fiber_bundle_table(
+        build(e.base), e.fiber_cells
+    ),
+    Decomposition: _decomposition_rule,
+    SymmetricProduct: lambda e, attrs, build: sp_table(
+        attrs(e.inner).cell_profile, e.d, proper=attrs(e).proper
+    ),
+    HilbertScheme: lambda e, attrs, build: hilb_table(e.b2, e.d),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -375,13 +367,7 @@ def chi_torus(n: int, p: int) -> int:
 def chi_toric(cone_counts: Sequence[int], p: int) -> int:
     """chi_p of any toric variety from its cone counts, by summing torus
     contributions over orbits: sum_i d_i * chi_p((C*)^(n-i))."""
-    counts = tuple(cone_counts)
-    if not counts:
-        raise ValidationError("cone counts must be nonempty")
-    if counts[0] != 1:
-        raise ValidationError("d_0 must be 1: the zero cone is unique")
-    if any(c < 0 for c in counts):
-        raise ValidationError("cone counts must be nonnegative")
+    counts = check_cone_counts(cone_counts)
     n = len(counts) - 1
     if p < 0 or p > n:
         raise ValueError(f"p must lie in 0..{n}")
@@ -396,12 +382,9 @@ def euler_profile(expr: VarietyExpr) -> ChiProfile:
     """Euler profile chi_0 .. chi_n of an expression.  Unlike full tables,
     this works for simplicial and general toric descriptions, where the
     orbit formula applies directly to the cone counts."""
-    attributes = validate(expr)
     if isinstance(expr, Toric):
-        values = tuple(
-            chi_toric(expr.cone_counts, p) for p in range(attributes.dim + 1)
-        )
-        return ChiProfile(values)
+        dim = validate(expr).dim
+        return ChiProfile(tuple(chi_toric(expr.cone_counts, p) for p in range(dim + 1)))
     return chi_profile(evaluate(expr).table)
 
 
@@ -411,8 +394,7 @@ def higher_chow(expr: VarietyExpr, r: int, m: int) -> int:
     atoms are accepted; for anything else the identification is not known."""
     if r < 0 or m < 0:
         raise ValueError("both indices must be nonnegative")
-    attributes = validate(expr)
-    if not attributes.toric:
+    if not validate(expr).toric:
         raise UnsupportedQueryError(
             "identification proven only for toric varieties"
         )
@@ -535,235 +517,215 @@ def _symmetric_power_dims_by_enumeration(profile: Sequence[int], d: int) -> Coun
 
 
 def _torus_checks() -> list[CheckResult]:
-    results = []
-    ok = all(
-        torus_table(n) == _torus_table_by_recursion(n) for n in range(1, 9)
-    )
-    results.append(
-        CheckResult("torus closed form matches the iterated splitting", "n=1..8", ok)
-    )
-    ok = all(
-        chi_torus(n, p) == euler_chi(torus_table(n), p)
-        for n in range(1, 9)
-        for p in range(n + 1)
-    )
-    results.append(
-        CheckResult("torus chi formula matches its table", "n=1..8, p=0..n", ok)
-    )
-    ok = all(chi_torus(n, 0) == 0 for n in range(1, 9))
-    results.append(CheckResult("torus chi_0 telescopes to zero", "n=1..8", ok))
-    return results
+    return [
+        CheckResult(
+            "torus closed form matches the iterated splitting",
+            "n=1..8",
+            all(torus_table(n) == _torus_table_by_recursion(n) for n in range(1, 9)),
+        ),
+        CheckResult(
+            "torus chi formula matches its table",
+            "n=1..8, p=0..n",
+            all(
+                chi_torus(n, p) == euler_chi(torus_table(n), p)
+                for n in range(1, 9)
+                for p in range(n + 1)
+            ),
+        ),
+        CheckResult(
+            "torus chi_0 telescopes to zero",
+            "n=1..8",
+            all(chi_torus(n, 0) == 0 for n in range(1, 9)),
+        ),
+    ]
 
 
 def _toric_checks() -> list[CheckResult]:
     rng = random.Random(_CHECK_SEED)
     fans = [(1, 3, 3), (1, 4, 4)]
     fans += [_random_smooth_cone_counts(rng) for _ in range(20)]
-    ok = True
-    for counts in fans:
-        table = toric_smooth_table(counts)
-        if any(
-            chi_toric(counts, p) != euler_chi(table, p)
-            for p in range(len(counts))
-        ):
-            ok = False
-    results = [
+    tables = [toric_smooth_table(counts) for counts in fans]
+    return [
         CheckResult(
             "toric chi formula matches the Betti table",
             "[1,3,3], [1,4,4], and 20 seeded random smooth fans",
-            ok,
-        )
+            all(
+                chi_toric(counts, p) == euler_chi(table, p)
+                for counts, table in zip(fans, tables)
+                for p in range(len(counts))
+            ),
+        ),
+        CheckResult(
+            "toric chi_0 equals the top cone count",
+            "same fans",
+            all(chi_toric(counts, 0) == counts[-1] for counts in fans),
+        ),
     ]
-    ok = all(chi_toric(counts, 0) == counts[-1] for counts in fans)
-    results.append(
-        CheckResult("toric chi_0 equals the top cone count", "same fans", ok)
-    )
-    return results
 
 
 def _quadric_checks() -> list[CheckResult]:
-    results = []
-    ok = all(
-        quadric_table(d)
-        == decompose(
-            (
-                FixedComponent(ProjectiveSpace(d), 0),
-                FixedComponent(ProjectiveSpace(d), d),
-            )
-        )
-        for d in range(1, 7)
-    )
-    results.append(
+    return [
         CheckResult(
             "quadric closed form equals its fixed-component decomposition",
             "d=1..6",
-            ok,
-        )
-    )
-    ok = all(
-        evaluate(SingularHypersurface(m, d)).table == quadric_table(d)
-        for d in range(1, 5)
-        for m in (2, 3)
-    )
-    results.append(
+            all(
+                quadric_table(d)
+                == decompose(
+                    (
+                        FixedComponent(ProjectiveSpace(d), 0),
+                        FixedComponent(ProjectiveSpace(d), d),
+                    )
+                )
+                for d in range(1, 7)
+            ),
+        ),
         CheckResult(
-            "singular hypersurface shares the quadric table", "d=1..4, m=2..3", ok
-        )
-    )
-    return results
+            "singular hypersurface shares the quadric table",
+            "d=1..4, m=2..3",
+            all(
+                evaluate(SingularHypersurface(m, d)).table == quadric_table(d)
+                for d in range(1, 5)
+                for m in (2, 3)
+            ),
+        ),
+    ]
 
 
 def _hilb_checks() -> list[CheckResult]:
-    results = []
-    ok = True
-    for b2 in range(3):
-        series = cheah_series(b2, 3)
-        for d in range(1, 4):
-            for k in range(4 * d + 1):
-                if series.coefficient(k, d) != _cheah_coefficient_by_enumeration(
-                    b2, k, d
-                ):
-                    ok = False
-    results.append(
+    return [
         CheckResult(
-            "Cheah coefficients match direct enumeration", "b2=0..2, d=1..3", ok
-        )
-    )
-    ok = all(
-        cheah_series(b2, 3).coefficient(k, d) == 0
-        for b2 in range(3)
-        for d in range(4)
-        for k in range(1, 13, 2)
-    )
-    results.append(
-        CheckResult("odd-degree Cheah coefficients vanish", "b2=0..2, d=0..3", ok)
-    )
-    ok = all(
-        hilb_table(b2, 1) == cellular_table((0,) + (1,) * b2 + (2,))
-        for b2 in range(4)
-    )
-    results.append(
-        CheckResult("one point reproduces the base surface", "b2=0..3", ok)
-    )
-    return results
+            "Cheah coefficients match direct enumeration",
+            "b2=0..2, d=1..3",
+            all(
+                series.coefficient(k, d) == _cheah_coefficient_by_enumeration(b2, k, d)
+                for b2, series in ((b2, cheah_series(b2, 3)) for b2 in range(3))
+                for d in range(1, 4)
+                for k in range(4 * d + 1)
+            ),
+        ),
+        CheckResult(
+            "odd-degree Cheah coefficients vanish",
+            "b2=0..2, d=0..3",
+            all(
+                cheah_series(b2, 3).coefficient(k, d) == 0
+                for b2 in range(3)
+                for d in range(4)
+                for k in range(1, 13, 2)
+            ),
+        ),
+        CheckResult(
+            "one point reproduces the base surface",
+            "b2=0..3",
+            all(
+                hilb_table(b2, 1) == cellular_table((0,) + (1,) * b2 + (2,))
+                for b2 in range(4)
+            ),
+        ),
+    ]
 
 
 def _sp_checks() -> list[CheckResult]:
-    results = []
-    ok = all(
-        dict(sp_table((0, 1), d).ranks) == dict(evaluate(ProjectiveSpace(d)).table.ranks)
-        for d in range(1, 7)
-    )
-    results.append(
+    cases = (((0, 1), 2), ((0, 1), 4), ((0, 1, 1, 2), 2), ((0, 1, 2), 3))
+    return [
         CheckResult(
-            "symmetric powers of the line are projective spaces", "d=1..6", ok
-        )
-    )
-    ok = True
-    for profile, d in (((0, 1), 2), ((0, 1), 4), ((0, 1, 1, 2), 2), ((0, 1, 2), 3)):
-        table = sp_table(profile, d)
-        dims = _symmetric_power_dims_by_enumeration(profile, d)
-        top = 2 * table.dim
-        if any(rank_at(table, 0, k) != dims.get(k, 0) for k in range(top + 1)):
-            ok = False
-    results.append(
+            "symmetric powers of the line are projective spaces",
+            "d=1..6",
+            all(
+                sp_table((0, 1), d).ranks == evaluate(ProjectiveSpace(d)).table.ranks
+                for d in range(1, 7)
+            ),
+        ),
         CheckResult(
             "symmetric-power dimensions match multiset enumeration",
             "profiles of dim <= 2, d <= 4",
-            ok,
-        )
-    )
-    ok = all(dict(sp_table((0,), d).ranks) == {(0, 0): 1} for d in range(1, 8))
-    results.append(
-        CheckResult("symmetric powers of the point stay a point", "d=1..7", ok)
-    )
-    return results
+            all(
+                rank_at(table, 0, k) == dims.get(k, 0)
+                for table, dims in (
+                    (sp_table(profile, d), _symmetric_power_dims_by_enumeration(profile, d))
+                    for profile, d in cases
+                )
+                for k in range(2 * table.dim + 1)
+            ),
+        ),
+        CheckResult(
+            "symmetric powers of the point stay a point",
+            "d=1..7",
+            all(dict(sp_table((0,), d).ranks) == {(0, 0): 1} for d in range(1, 8)),
+        ),
+    ]
 
 
 def _suspension_checks() -> list[CheckResult]:
-    results = []
-    ok = all(
-        suspend(evaluate(expr).table)
-        == decompose((FixedComponent(expr, 1), FixedComponent(Point(), 0)))
-        for expr in _SUSPENSION_CORPUS
-    )
-    results.append(
+    inner = [evaluate(expr).table for expr in _SUSPENSION_CORPUS]
+    return [
         CheckResult(
             "suspension equals the two-component decomposition",
             "proper corpus up to dimension 4",
-            ok,
-        )
-    )
-    ok = all(
-        rank_at(suspend(evaluate(expr).table), 0, 1) == 0
-        for expr in _SUSPENSION_CORPUS
-    )
-    results.append(
-        CheckResult("degree-one rank of a suspension vanishes", "same corpus", ok)
-    )
-    ok = suspend(cellular_table((0,))) == evaluate(ProjectiveSpace(1)).table
-    results.append(
-        CheckResult("suspending the point gives the line", "single instance", ok)
-    )
-    return results
+            all(
+                suspend(table)
+                == decompose((FixedComponent(expr, 1), FixedComponent(Point(), 0)))
+                for expr, table in zip(_SUSPENSION_CORPUS, inner)
+            ),
+        ),
+        CheckResult(
+            "degree-one rank of a suspension vanishes",
+            "same corpus",
+            all(rank_at(suspend(table), 0, 1) == 0 for table in inner),
+        ),
+        CheckResult(
+            "suspending the point gives the line",
+            "single instance",
+            suspend(cellular_table((0,))) == evaluate(ProjectiveSpace(1)).table,
+        ),
+    ]
 
 
 def _general_checks() -> list[CheckResult]:
-    results = []
-    ok = True
-    for expr in _PROFILED_CORPUS:
-        attributes = validate(expr)
-        table = evaluate(expr).table
-        counts = Counter(attributes.cell_profile)
-        for m in range(attributes.dim + 1):
-            if rank_at(table, 0, 2 * m) != counts.get(m, 0):
-                ok = False
-        if any(rank_at(table, 0, k) != 0 for k in range(1, 2 * attributes.dim + 1, 2)):
-            ok = False
-    results.append(
-        CheckResult(
-            "row zero counts cells (Dold-Thom rows)", "profiled corpus", ok
-        )
-    )
-    ok = all(
-        rank_at(evaluate(expr).table, -r, k) == rank_at(evaluate(expr).table, 0, k)
-        for expr in _PROFILED_CORPUS[:4]
-        for r in (1, 2, 3)
-        for k in range(2 * validate(expr).dim + 1)
-    )
-    results.append(
-        CheckResult("negative cycle dimension falls back to row zero", "r=1..3", ok)
-    )
-    ok = True
-    for expr in _PROFILED_CORPUS:
-        table = evaluate(expr).table
-        if any(
-            value != rank_at(table, 0, k) for (r, k), value in table.ranks.items()
-        ):
-            ok = False
-    results.append(
-        CheckResult(
-            "cellular tables are constant down each column", "profiled corpus", ok
-        )
-    )
+    profiled = [evaluate(expr) for expr in _PROFILED_CORPUS]
     aliased: list[VarietyExpr] = [Torus(n) for n in range(1, 5)]
     aliased += [ProjectiveSpace(n) for n in range(1, 5)]
     aliased.append(Toric((1, 3, 3)))
-    ok = True
-    for expr in aliased:
-        table = evaluate(expr).table
-        for r in range(table.dim + 1):
-            for m in range(2 * table.dim + 1):
-                if higher_chow(expr, r, m) != rank_at(table, r, 2 * r + m):
-                    ok = False
-    results.append(
+    return [
+        CheckResult(
+            "row zero counts cells (Dold-Thom rows)",
+            "profiled corpus",
+            all(
+                rank_at(result.table, 0, k)
+                == (result.attributes.cell_profile.count(k // 2) if k % 2 == 0 else 0)
+                for result in profiled
+                for k in range(2 * result.attributes.dim + 1)
+            ),
+        ),
+        CheckResult(
+            "negative cycle dimension falls back to row zero",
+            "r=1..3",
+            all(
+                rank_at(result.table, -r, k) == rank_at(result.table, 0, k)
+                for result in profiled[:4]
+                for r in (1, 2, 3)
+                for k in range(2 * result.attributes.dim + 1)
+            ),
+        ),
+        CheckResult(
+            "cellular tables are constant down each column",
+            "profiled corpus",
+            all(
+                value == rank_at(result.table, 0, k)
+                for result in profiled
+                for (r, k), value in result.table.ranks.items()
+            ),
+        ),
         CheckResult(
             "higher Chow ranks alias the table",
             "torus/P^n for n=1..4 and toric([1,3,3])",
-            ok,
-        )
-    )
-    return results
+            all(
+                higher_chow(expr, r, m) == rank_at(table, r, 2 * r + m)
+                for expr, table in ((expr, evaluate(expr).table) for expr in aliased)
+                for r in range(table.dim + 1)
+                for m in range(2 * table.dim + 1)
+            ),
+        ),
+    ]
 
 
 _SUITE_RUNNERS = {
@@ -782,10 +744,8 @@ def run_checks(suite: str = "all") -> tuple[CheckResult, ...]:
     surface failures."""
     if suite not in CHECK_SUITES:
         raise ValueError(f"unknown check suite {suite!r}")
+    names = CHECK_SUITES[1:] if suite == "all" else (suite,)
+    results = [result for name in names for result in _SUITE_RUNNERS[name]()]
     if suite == "all":
-        results: list[CheckResult] = []
-        for name in CHECK_SUITES[1:]:
-            results.extend(_SUITE_RUNNERS[name]())
-        results.extend(_general_checks())
-        return tuple(results)
-    return tuple(_SUITE_RUNNERS[suite]())
+        results += _general_checks()
+    return tuple(results)

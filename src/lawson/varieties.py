@@ -8,19 +8,26 @@ and from constructors that mirror the structure theorems (suspension,
 products, cellular fiber bundles, fixed-component decompositions, symmetric
 products).
 
-Constructors here are structural only; all semantic checking lives in
-:func:`validate`, which either returns the derived :class:`VarietyAttributes`
-or raises :class:`ValidationError`.  :func:`render` writes the canonical
-textual form, the inverse of the parser in :mod:`lawson.dsl`.
+This module is the node registry.  Each node class is declared once, with
+:func:`_node`: its keyword, the syntactic shape of each of its fields, and
+its attribute rule (the ``attributes`` method).  :data:`NODE_TYPES` maps the
+keywords to the classes.  Everything else walks those declarations: the
+parser in :mod:`lawson.dsl`, :func:`render` (its inverse), and
+:func:`validate`, which either returns the derived
+:class:`VarietyAttributes` or raises :class:`ValidationError`.  The table
+rule of each class lives in ``lawson.engine._BUILD``.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, fields
+from typing import ClassVar, Optional
 
 from .grading import Coefficients, binomial
+
+Z = Coefficients.INTEGER
+Q = Coefficients.RATIONAL
 
 
 class ValidationError(ValueError):
@@ -34,41 +41,99 @@ class Smoothness(enum.Enum):
 
 
 class VarietyExpr:
-    """Base class for all variety expressions."""
+    """Base class for all variety expressions.
+
+    ``syntax`` gives the shape of each dataclass field, in field order:
+    ``nat``, ``natlist``, ``cells`` (a natlist kept sorted, as a multiset),
+    ``expr`` (a subexpression), ``flag`` (an optional trailing
+    :class:`Smoothness`) or ``comps`` (one or more :class:`FixedComponent`).
+    ``attributes`` receives the attributes of the node's subexpressions, in
+    order, and derives the node's own.
+    """
 
     __slots__ = ()
+    keyword: ClassVar[str]
+    syntax: ClassVar[tuple[str, ...]]
+
+    def __post_init__(self) -> None:
+        # Sequences are stored as tuples, so equal expressions hash equal.
+        for shape, field, value in _fields(self):
+            if shape in ("natlist", "cells", "comps"):
+                value = sorted(value) if shape == "cells" else value
+                object.__setattr__(self, field.name, tuple(value))
+
+    def attributes(self, *children: VarietyAttributes) -> VarietyAttributes:
+        raise NotImplementedError
 
 
-@dataclass(frozen=True)
+NODE_TYPES: dict[str, type[VarietyExpr]] = {}
+
+
+def _node(keyword: str, *syntax: str):
+    """Declare a frozen dataclass node with its keyword and field shapes."""
+
+    def declare(cls):
+        cls = dataclass(frozen=True)(cls)
+        cls.keyword, cls.syntax = keyword, syntax
+        NODE_TYPES[keyword] = cls
+        return cls
+
+    return declare
+
+
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise ValidationError(message)
+
+
+@_node("pt")
 class Point(VarietyExpr):
-    pass
+    def attributes(self):
+        return VarietyAttributes(0, True, Z, (0,), True)
 
 
-@dataclass(frozen=True)
+@_node("P", "nat")
 class ProjectiveSpace(VarietyExpr):
     n: int
 
+    def attributes(self):
+        _require(self.n >= 1, "projective space requires a positive dimension")
+        return VarietyAttributes(self.n, True, Z, tuple(range(self.n + 1)), True)
 
-@dataclass(frozen=True)
+
+@_node("affine", "nat")
 class AffineSpace(VarietyExpr):
     n: int
 
+    def attributes(self):
+        _require(self.n >= 1, "affine space requires a positive dimension")
+        return VarietyAttributes(self.n, False, Z, (self.n,), True)
 
-@dataclass(frozen=True)
+
+@_node("torus", "nat")
 class Torus(VarietyExpr):
     """The split algebraic torus (C*)^n, the basic non-proper atom."""
 
     n: int
 
+    def attributes(self):
+        _require(self.n >= 1, "the torus requires a positive dimension")
+        return VarietyAttributes(self.n, False, Z, None, True)
 
-@dataclass(frozen=True)
+
+@_node("quadric", "nat")
 class SplitQuadric(VarietyExpr):
     """Smooth quadric of even complex dimension 2d, split over the base field."""
 
     d: int
 
+    def attributes(self):
+        _require(self.d >= 1, "the split quadric requires d >= 1")
+        profile = tuple(range(self.d + 1)) + tuple(range(self.d, 2 * self.d + 1))
+        return VarietyAttributes(2 * self.d, True, Z, profile, False)
 
-@dataclass(frozen=True)
+
+@_node("singquadric", "nat", "nat")
 class SingularHypersurface(VarietyExpr):
     """Degree-m hypersurface of dimension 2d singular along a linear center;
     its table coincides with the split quadric of the same dimension."""
@@ -76,52 +141,93 @@ class SingularHypersurface(VarietyExpr):
     m: int
     d: int
 
+    def attributes(self):
+        _require(self.m >= 2, "the hypersurface degree must exceed 1")
+        _require(self.d >= 1, "the hypersurface requires d >= 1")
+        # Same table as the split quadric, but no cell profile is claimed
+        # for the singular model.
+        return VarietyAttributes(2 * self.d, True, Z, None, False)
 
-@dataclass(frozen=True)
+
+@_node("cellular", "cells")
 class Cellular(VarietyExpr):
-    """Variety with an algebraic cell decomposition, recorded as the multiset
-    of cell dimensions.  Cells are stored sorted."""
+    """Proper variety with an algebraic cell decomposition, recorded as the
+    multiset of cell dimensions."""
 
     cells: tuple[int, ...]
-    proper: bool = True
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "cells", tuple(sorted(self.cells)))
+    def attributes(self):
+        _require(len(self.cells) >= 1, "a cellular variety needs at least one cell")
+        _require(all(c >= 0 for c in self.cells), "cell dimensions must be nonnegative")
+        return VarietyAttributes(max(self.cells), True, Z, self.cells, False)
 
 
-@dataclass(frozen=True)
+@_node("toric", "natlist", "flag")
 class Toric(VarietyExpr):
     """Toric variety described by its cone counts d_0, ..., d_n."""
 
     cone_counts: tuple[int, ...]
     smoothness: Smoothness = Smoothness.SMOOTH
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "cone_counts", tuple(self.cone_counts))
+    def attributes(self):
+        counts = check_cone_counts(self.cone_counts)
+        n = len(counts) - 1
+        if self.smoothness is Smoothness.SMOOTH:
+            betti = smooth_toric_betti(counts)
+            profile = tuple(m for m, b in enumerate(betti) for _ in range(b))
+            return VarietyAttributes(n, True, Z, profile, True)
+        rational = self.smoothness is Smoothness.SIMPLICIAL
+        return VarietyAttributes(n, True, Q if rational else Z, None, True)
 
 
-@dataclass(frozen=True)
+@_node("susp", "expr")
 class Suspension(VarietyExpr):
     """Algebraic suspension: the Thom-space analogue joining with a point."""
 
     inner: VarietyExpr
 
+    def attributes(self, inner):
+        _require(inner.proper, "suspension requires a projective inner variety")
+        profile = None
+        if inner.cell_profile is not None:
+            profile = (0,) + tuple(c + 1 for c in inner.cell_profile)
+        return VarietyAttributes(inner.dim + 1, True, inner.coefficients, profile, False)
 
-@dataclass(frozen=True)
+
+@_node("prod", "expr", "expr")
 class Product(VarietyExpr):
     left: VarietyExpr
     right: VarietyExpr
 
+    def attributes(self, left, right):
+        _require(
+            left.cell_profile is not None or right.cell_profile is not None,
+            "a product is supported only when at least one factor has a cell profile",
+        )
+        return VarietyAttributes(
+            left.dim + right.dim,
+            left.proper and right.proper,
+            _common_ring((left, right)),
+            _pairwise_sums(left.cell_profile, right.cell_profile),
+            left.toric and right.toric,
+        )
 
-@dataclass(frozen=True)
+
+@_node("bundle", "expr", "cells")
 class CellularFiberBundle(VarietyExpr):
     """Zariski-locally trivial bundle with cellular fibers over any base."""
 
     base: VarietyExpr
     fiber_cells: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "fiber_cells", tuple(sorted(self.fiber_cells)))
+    def attributes(self, base):
+        cells = self.fiber_cells
+        _require(len(cells) >= 1, "a bundle needs at least one fiber cell")
+        _require(all(c >= 0 for c in cells), "fiber cell dimensions must be nonnegative")
+        profile = _pairwise_sums(base.cell_profile, cells)
+        return VarietyAttributes(
+            base.dim + max(cells), base.proper, base.coefficients, profile, False
+        )
 
 
 @dataclass(frozen=True)
@@ -132,29 +238,52 @@ class FixedComponent:
     shift: int
 
 
-@dataclass(frozen=True)
+@_node("decomp", "comps")
 class Decomposition(VarietyExpr):
     """A variety presented through the fixed components of a C*-action."""
 
     components: tuple[FixedComponent, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "components", tuple(self.components))
+    def attributes(self, *parts):
+        _require(len(parts) >= 1, "a decomposition needs at least one component")
+        shifts = [fixed.shift for fixed in self.components]
+        _require(min(shifts) >= 0, "component shifts must be nonnegative")
+        _require(all(a.proper for a in parts), "decomposition components must be projective")
+        profile = None
+        if all(a.cell_profile is not None for a in parts):
+            profile = tuple(
+                c + s for a, s in zip(parts, shifts) for c in a.cell_profile
+            )
+        dim = max(a.dim + s for a, s in zip(parts, shifts))
+        return VarietyAttributes(dim, True, _common_ring(parts), profile, False)
 
 
-@dataclass(frozen=True)
+@_node("sp", "expr", "nat")
 class SymmetricProduct(VarietyExpr):
     inner: VarietyExpr
     d: int
 
+    def attributes(self, inner):
+        _require(self.d >= 1, "a symmetric product requires d >= 1")
+        _require(
+            inner.cell_profile is not None,
+            "a symmetric product requires an inner expression with a cell profile",
+        )
+        return VarietyAttributes(self.d * inner.dim, inner.proper, Q, None, False)
 
-@dataclass(frozen=True)
+
+@_node("hilb", "nat", "nat")
 class HilbertScheme(VarietyExpr):
     """Hilbert scheme of d points on a simply connected surface with
     middle Betti number b2."""
 
     b2: int
     d: int
+
+    def attributes(self):
+        _require(self.b2 >= 0, "the middle Betti number must be nonnegative")
+        _require(self.d >= 1, "the Hilbert scheme requires d >= 1")
+        return VarietyAttributes(2 * self.d, True, Z, None, False)
 
 
 @dataclass(frozen=True)
@@ -176,6 +305,16 @@ class VarietyAttributes:
             if profile[-1] > self.dim:
                 raise ValueError("cell dimensions cannot exceed the variety dimension")
             object.__setattr__(self, "cell_profile", profile)
+
+
+def check_cone_counts(cone_counts) -> tuple[int, ...]:
+    """The cone counts as a tuple, once they pass the checks every fan
+    meets: nonempty, nonnegative, and a unique zero cone."""
+    counts = tuple(cone_counts)
+    _require(len(counts) >= 1, "cone counts must be nonempty")
+    _require(all(c >= 0 for c in counts), "cone counts must be nonnegative")
+    _require(counts[0] == 1, "d_0 must be 1: the zero cone is unique")
+    return counts
 
 
 def smooth_toric_betti(cone_counts) -> list[int]:
@@ -200,207 +339,70 @@ def smooth_toric_betti(cone_counts) -> list[int]:
     return betti
 
 
-def _pairwise_sums(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted(a + b for a in left for b in right))
+def _pairwise_sums(left, right) -> Optional[tuple[int, ...]]:
+    # The cell profile of a product, when both factors have one.
+    if left is None or right is None:
+        return None
+    return tuple(a + b for a in left for b in right)
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValidationError(message)
+def _common_ring(parts) -> Coefficients:
+    return Q if any(a.coefficients is Q for a in parts) else Z
 
 
-def validate(expr: VarietyExpr) -> VarietyAttributes:
+def _fields(expr: VarietyExpr) -> list:
+    """(shape, field, value) for each field of a node, in declaration order."""
+    if not isinstance(expr, VarietyExpr):
+        raise TypeError(f"not a variety expression: {expr!r}")
+    return [(shape, f, getattr(expr, f.name)) for shape, f in zip(expr.syntax, fields(expr))]
+
+
+def _children(expr: VarietyExpr) -> list[VarietyExpr]:
+    out: list[VarietyExpr] = []
+    for shape, _, value in _fields(expr):
+        if shape == "expr":
+            out.append(value)
+        elif shape == "comps":
+            out.extend(fixed.component for fixed in value)
+    return out
+
+
+def validate(expr: VarietyExpr, record: Optional[dict] = None) -> VarietyAttributes:
     """Check an expression against the semantic rules and derive its
-    attributes.
+    attributes, applying each node's attribute rule after its children's.
 
     Dimension, properness, and the coefficient tag are computed recursively;
     the coefficient tag is rational exactly when the expression contains a
     symmetric product or a simplicial toric description.  The cell profile is
     the multiset of cell dimensions when the constructions license one, and
     the toric flag marks expressions entirely built from torus-invariant
-    atoms and products.
+    atoms and products.  When ``record`` is a dict, it also receives the
+    attributes of every node, keyed by ``id(node)``.
     """
-    if isinstance(expr, Point):
-        return VarietyAttributes(0, True, Coefficients.INTEGER, (0,), True)
 
-    if isinstance(expr, ProjectiveSpace):
-        _require(expr.n >= 1, "projective space requires a positive dimension")
-        profile = tuple(range(expr.n + 1))
-        return VarietyAttributes(expr.n, True, Coefficients.INTEGER, profile, True)
+    def walk(node: VarietyExpr) -> VarietyAttributes:
+        attributes = node.attributes(*map(walk, _children(node)))
+        if record is not None:
+            record[id(node)] = attributes
+        return attributes
 
-    if isinstance(expr, AffineSpace):
-        _require(expr.n >= 1, "affine space requires a positive dimension")
-        return VarietyAttributes(expr.n, False, Coefficients.INTEGER, (expr.n,), True)
-
-    if isinstance(expr, Torus):
-        _require(expr.n >= 1, "the torus requires a positive dimension")
-        return VarietyAttributes(expr.n, False, Coefficients.INTEGER, None, True)
-
-    if isinstance(expr, SplitQuadric):
-        _require(expr.d >= 1, "the split quadric requires d >= 1")
-        profile = tuple(sorted(list(range(expr.d + 1)) + list(range(expr.d, 2 * expr.d + 1))))
-        return VarietyAttributes(2 * expr.d, True, Coefficients.INTEGER, profile, False)
-
-    if isinstance(expr, SingularHypersurface):
-        _require(expr.m >= 2, "the hypersurface degree must exceed 1")
-        _require(expr.d >= 1, "the hypersurface requires d >= 1")
-        # Same table as the split quadric, but no cell profile is claimed
-        # for the singular model.
-        return VarietyAttributes(2 * expr.d, True, Coefficients.INTEGER, None, False)
-
-    if isinstance(expr, Cellular):
-        _require(len(expr.cells) >= 1, "a cellular variety needs at least one cell")
-        _require(all(c >= 0 for c in expr.cells), "cell dimensions must be nonnegative")
-        dim = max(expr.cells)
-        return VarietyAttributes(dim, expr.proper, Coefficients.INTEGER, expr.cells, False)
-
-    if isinstance(expr, Toric):
-        counts = expr.cone_counts
-        _require(len(counts) >= 1, "cone counts must be nonempty")
-        _require(all(c >= 0 for c in counts), "cone counts must be nonnegative")
-        _require(counts[0] == 1, "d_0 must be 1: the zero cone is unique")
-        n = len(counts) - 1
-        if expr.smoothness is Smoothness.SMOOTH:
-            betti = smooth_toric_betti(counts)
-            profile = tuple(m for m, b in enumerate(betti) for _ in range(b))
-            return VarietyAttributes(n, True, Coefficients.INTEGER, profile, True)
-        if expr.smoothness is Smoothness.SIMPLICIAL:
-            return VarietyAttributes(n, True, Coefficients.RATIONAL, None, True)
-        return VarietyAttributes(n, True, Coefficients.INTEGER, None, True)
-
-    if isinstance(expr, Suspension):
-        inner = validate(expr.inner)
-        _require(inner.proper, "suspension requires a projective inner variety")
-        profile = None
-        if inner.cell_profile is not None:
-            profile = tuple(sorted((0,) + tuple(c + 1 for c in inner.cell_profile)))
-        return VarietyAttributes(inner.dim + 1, True, inner.coefficients, profile, False)
-
-    if isinstance(expr, Product):
-        left = validate(expr.left)
-        right = validate(expr.right)
-        _require(
-            left.cell_profile is not None or right.cell_profile is not None,
-            "a product is supported only when at least one factor has a cell profile",
-        )
-        profile = None
-        if left.cell_profile is not None and right.cell_profile is not None:
-            profile = _pairwise_sums(left.cell_profile, right.cell_profile)
-        rational = Coefficients.RATIONAL in (left.coefficients, right.coefficients)
-        return VarietyAttributes(
-            left.dim + right.dim,
-            left.proper and right.proper,
-            Coefficients.RATIONAL if rational else Coefficients.INTEGER,
-            profile,
-            left.toric and right.toric,
-        )
-
-    if isinstance(expr, CellularFiberBundle):
-        base = validate(expr.base)
-        _require(len(expr.fiber_cells) >= 1, "a bundle needs at least one fiber cell")
-        _require(
-            all(c >= 0 for c in expr.fiber_cells),
-            "fiber cell dimensions must be nonnegative",
-        )
-        profile = None
-        if base.cell_profile is not None:
-            profile = _pairwise_sums(base.cell_profile, expr.fiber_cells)
-        return VarietyAttributes(
-            base.dim + max(expr.fiber_cells),
-            base.proper,
-            base.coefficients,
-            profile,
-            False,
-        )
-
-    if isinstance(expr, Decomposition):
-        _require(len(expr.components) >= 1, "a decomposition needs at least one component")
-        parts = []
-        for fixed in expr.components:
-            _require(fixed.shift >= 0, "component shifts must be nonnegative")
-            attrs = validate(fixed.component)
-            _require(attrs.proper, "decomposition components must be projective")
-            parts.append((attrs, fixed.shift))
-        dim = max(attrs.dim + shift for attrs, shift in parts)
-        profile = None
-        if all(attrs.cell_profile is not None for attrs, _ in parts):
-            combined: list[int] = []
-            for attrs, shift in parts:
-                combined.extend(c + shift for c in attrs.cell_profile)
-            profile = tuple(sorted(combined))
-        rational = any(
-            attrs.coefficients is Coefficients.RATIONAL for attrs, _ in parts
-        )
-        return VarietyAttributes(
-            dim,
-            True,
-            Coefficients.RATIONAL if rational else Coefficients.INTEGER,
-            profile,
-            False,
-        )
-
-    if isinstance(expr, SymmetricProduct):
-        _require(expr.d >= 1, "a symmetric product requires d >= 1")
-        inner = validate(expr.inner)
-        _require(
-            inner.cell_profile is not None,
-            "a symmetric product requires an inner expression with a cell profile",
-        )
-        return VarietyAttributes(
-            expr.d * inner.dim, inner.proper, Coefficients.RATIONAL, None, False
-        )
-
-    if isinstance(expr, HilbertScheme):
-        _require(expr.b2 >= 0, "the middle Betti number must be nonnegative")
-        _require(expr.d >= 1, "the Hilbert scheme requires d >= 1")
-        return VarietyAttributes(2 * expr.d, True, Coefficients.INTEGER, None, False)
-
-    raise TypeError(f"not a variety expression: {expr!r}")
-
-
-def _natlist(values) -> str:
-    return "[" + ",".join(str(v) for v in values) + "]"
+    return walk(expr)
 
 
 def render(expr: VarietyExpr) -> str:
-    """Canonical textual form of an expression.
+    """Canonical textual form of an expression: parse(render(e)) == e."""
 
-    parse(render(e)) reproduces e for every expression the grammar can
-    spell.  The grammar has no marker for non-proper cellular varieties, so
-    rendering one produces the projective spelling; use AffineSpace for the
-    non-proper single-cell case.
-    """
-    if isinstance(expr, Point):
-        return "pt"
-    if isinstance(expr, ProjectiveSpace):
-        return f"P({expr.n})"
-    if isinstance(expr, AffineSpace):
-        return f"affine({expr.n})"
-    if isinstance(expr, Torus):
-        return f"torus({expr.n})"
-    if isinstance(expr, SplitQuadric):
-        return f"quadric({expr.d})"
-    if isinstance(expr, SingularHypersurface):
-        return f"singquadric({expr.m},{expr.d})"
-    if isinstance(expr, Cellular):
-        return f"cellular({_natlist(expr.cells)})"
-    if isinstance(expr, Toric):
-        if expr.smoothness is Smoothness.SMOOTH:
-            return f"toric({_natlist(expr.cone_counts)})"
-        return f"toric({_natlist(expr.cone_counts)},{expr.smoothness.value})"
-    if isinstance(expr, Suspension):
-        return f"susp({render(expr.inner)})"
-    if isinstance(expr, Product):
-        return f"prod({render(expr.left)},{render(expr.right)})"
-    if isinstance(expr, CellularFiberBundle):
-        return f"bundle({render(expr.base)},{_natlist(expr.fiber_cells)})"
-    if isinstance(expr, Decomposition):
-        parts = ", ".join(
-            f"{render(fixed.component)}:{fixed.shift}" for fixed in expr.components
-        )
-        return f"decomp({parts})"
-    if isinstance(expr, SymmetricProduct):
-        return f"sp({render(expr.inner)},{expr.d})"
-    if isinstance(expr, HilbertScheme):
-        return f"hilb({expr.b2},{expr.d})"
-    raise TypeError(f"not a variety expression: {expr!r}")
+    def text(node: VarietyExpr) -> str:
+        args = []
+        for shape, field, value in _fields(node):
+            if shape == "expr":
+                args.append(text(value))
+            elif shape == "comps":
+                args.append(", ".join(f"{text(c.component)}:{c.shift}" for c in value))
+            elif shape in ("natlist", "cells"):
+                args.append("[" + ",".join(map(str, value)) + "]")
+            elif shape != "flag" or value is not field.default:
+                args.append(str(getattr(value, "value", value)))
+        return f"{node.keyword}({','.join(args)})" if node.syntax else node.keyword
+
+    return text(expr)

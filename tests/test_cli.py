@@ -72,6 +72,19 @@ class TestEval:
         )
         assert code == 0
         assert out.splitlines() == ["r,k,rank", "0,0,1", "0,2,2", "0,4,1"]
+        # A negative bound keeps the header and drops every row in all formats.
+        outputs = {}
+        for fmt in ("plain", "json", "csv"):
+            code, outputs[fmt], _ = invoke(
+                capsys, "eval", "quadric(1)", "--format", fmt, "--max-r", "-1"
+            )
+            assert code == 0
+        assert outputs["plain"].splitlines()[4:] == [
+            "  r\\k | 0 1 2 3 4",
+            "-" * len("  r\\k | 0 1 2 3 4"),
+        ]
+        assert json.loads(outputs["json"])["ranks"] == []
+        assert outputs["csv"].splitlines() == ["r,k,rank"]
 
     def test_non_proper_expression(self, capsys):
         code, out, _ = invoke(capsys, "eval", "torus(1)", "--format", "json")
@@ -87,6 +100,30 @@ class TestEval:
         code, _, err = invoke(capsys, "eval", "P(0)")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "susp(" * 1200 + "pt" + ")" * 1200,
+            "prod(" * 500 + "pt" + ",pt)" * 500,
+        ],
+    )
+    def test_deep_nesting_exits_1(self, capsys, text):
+        code, out, err = invoke(capsys, "eval", text)
+        assert code == 1 and out == ""
+        assert err.startswith("parse error") and "nest deeper" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "prod(toric([1,3,3],simplicial),P(0))",
+            "decomp(susp(sp(P(1),2)):0,affine(1):0)",
+            "prod(susp(sp(P(1),2)),P(0))",
+        ],
+    )
+    def test_validation_error_anywhere_exits_2(self, capsys, text):
+        code, out, _ = invoke(capsys, "eval", text)
+        assert code == 2 and out == ""
 
     def test_unsupported_table_exits_3(self, capsys):
         for flag in ("simplicial", "general"):

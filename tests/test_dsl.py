@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -20,9 +21,12 @@ from lawson import (
     Toric,
     Torus,
     VarietyExpr,
+    evaluate,
     parse,
     render,
+    validate,
 )
+from lawson.dsl import MAX_DEPTH
 
 from astgen import random_expr, random_garbage
 
@@ -130,6 +134,13 @@ class TestParseErrors:
             parse("pt;")
         assert (exc.value.span.start, exc.value.span.end) == (2, 3)
 
+    def test_non_decimal_digit_is_a_parse_error(self):
+        # A superscript two is a digit to str.isdigit but not a decimal.
+        for text in ("P(²)", "P(1²)"):
+            with pytest.raises(ParseError, match="unexpected character") as exc:
+                parse(text)
+            assert exc.value.span.end == len(text) - 1
+
     def test_bytes_input_is_decoded_not_crashed(self):
         assert parse(b"pt") == Point()
         with pytest.raises(ParseError):
@@ -142,6 +153,41 @@ class TestParseErrors:
             assert "3..3" in str(exc)
         else:
             pytest.fail("expected a ParseError")
+
+
+def _chain(depth: int) -> str:
+    # prod, bundle and decomp in turn around a point: dimension 0 throughout.
+    forms = ("prod({},pt)", "bundle({},[0])", "decomp({}:0)")
+    text = "pt"
+    for level in range(depth):
+        text = forms[level % 3].format(text)
+    return text
+
+
+class TestNestingBound:
+    def test_bound_depth_is_answered(self):
+        text = _chain(MAX_DEPTH)
+        expr = parse(text)
+        assert validate(expr).dim == 0
+        assert dict(evaluate(expr).table.ranks) == {(0, 0): 1}
+        assert render(expr) == text
+
+    def test_one_level_more_is_rejected_at_the_first_constructor_past_it(self):
+        text = _chain(MAX_DEPTH + 1)
+        with pytest.raises(ParseError, match="nest deeper") as exc:
+            parse(text)
+        opener = list(re.finditer(r"prod|bundle|decomp", text))[MAX_DEPTH]
+        span = exc.value.span
+        assert (span.start, span.end) == (opener.start(), opener.end())
+
+    def test_atoms_with_arguments_do_not_count(self):
+        text = "susp(" * MAX_DEPTH + "P(1)" + ")" * MAX_DEPTH
+        assert render(parse(text)) == text
+
+    def test_runaway_nesting_is_a_parse_error(self):
+        for text in ("susp(" * 1200 + "pt" + ")" * 1200, "susp(" * 5000):
+            with pytest.raises(ParseError):
+                parse(text)
 
 
 class TestRoundTrip:

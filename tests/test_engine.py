@@ -25,6 +25,7 @@ from lawson import (
     Torus,
     UnsupportedQueryError,
     ValidationError,
+    VarietyAttributes,
     cellular_table,
     chi_profile,
     chi_toric,
@@ -37,6 +38,7 @@ from lawson import (
     fiber_bundle_table,
     higher_chow,
     hilb_table,
+    parse,
     quadric_table,
     rank_at,
     render,
@@ -410,6 +412,35 @@ class TestEvaluate:
                     count = sum(1 for c in attrs.cell_profile if c == m)
                     assert rank_at(first.table, 0, 2 * m) == count
         assert seen >= 40
+
+
+class TestSinglePass:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "prod(toric([1,3,3],simplicial),P(0))",
+            "decomp(susp(sp(P(1),2)):0,affine(1):0)",
+            "prod(susp(sp(P(1),2)),P(0))",
+        ],
+    )
+    def test_validation_error_beats_an_unsupported_subtree(self, text):
+        # Each tree also holds a subtree whose table is unsupported; the
+        # whole tree is validated before any table is built.
+        with pytest.raises(ValidationError):
+            evaluate(parse(text))
+
+    def test_attributes_are_derived_once_per_node(self, monkeypatch):
+        built = []
+        post_init = VarietyAttributes.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(VarietyAttributes, "__post_init__", counting)
+        result = evaluate(parse("susp(" * 150 + "pt" + ")" * 150))
+        assert result.table.dim == 150
+        assert len(built) <= 151
 
 
 class TestChiFormulas:

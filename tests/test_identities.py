@@ -1,0 +1,75 @@
+"""The paper's cross-route identities as properties over random expressions.
+
+Each property draws expressions from ``astgen.random_expr`` and keeps the
+first ones that evaluate, so the two routes are compared only where the
+calculator gives an answer.
+"""
+
+from hypothesis import assume, given, settings, strategies as st
+
+from lawson import (
+    CellularFiberBundle,
+    Coefficients,
+    Decomposition,
+    FixedComponent,
+    Point,
+    Product,
+    Suspension,
+    UnsupportedQueryError,
+    ValidationError,
+    evaluate,
+)
+
+from astgen import random_expr
+
+RANDOMS = st.randoms(use_true_random=False)
+PROPERTY = settings(max_examples=100, deadline=None)
+
+
+def _evaluating(rng, accept=lambda result: True):
+    """The first of up to 50 random expressions that evaluates and whose
+    result passes ``accept``, with that result."""
+    for _ in range(50):
+        expr = random_expr(rng)
+        try:
+            result = evaluate(expr)
+        except (ValidationError, UnsupportedQueryError):
+            continue
+        if accept(result):
+            return expr, result
+    assume(False)
+
+
+@PROPERTY
+@given(RANDOMS)
+def test_suspension_is_a_two_component_decomposition(rng):
+    x, _ = _evaluating(
+        rng, lambda r: r.table.proper and r.table.coefficients is Coefficients.INTEGER
+    )
+    decomposed = Decomposition((FixedComponent(x, 1), FixedComponent(Point(), 0)))
+    assert evaluate(Suspension(x)).table == evaluate(decomposed).table
+
+
+@PROPERTY
+@given(RANDOMS)
+def test_product_commutes(rng):
+    x, _ = _evaluating(rng)
+    y, _ = _evaluating(rng, lambda r: r.attributes.cell_profile is not None)
+    for left, right in ((x, y), (y, x)):
+        assert evaluate(Product(left, right)).table == evaluate(Product(right, left)).table
+
+
+@PROPERTY
+@given(RANDOMS)
+def test_bundle_over_a_cell_profile_is_the_product(rng):
+    x, _ = _evaluating(rng)
+    y, fiber = _evaluating(rng, lambda r: r.attributes.cell_profile is not None)
+    bundle = evaluate(CellularFiberBundle(x, fiber.attributes.cell_profile)).table
+    product = evaluate(Product(x, y)).table
+    assert (bundle.dim, bundle.coefficients, bundle.ranks) == (
+        product.dim,
+        product.coefficients,
+        product.ranks,
+    )
+    # The bundle is as proper as its base; the product needs both factors.
+    assert product.proper == (bundle.proper and fiber.table.proper)
