@@ -80,8 +80,9 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
-def _sorted_entries(table, max_r: Optional[int]):
-    entries = sorted(table.ranks.items())
+def _entries(table, max_r: Optional[int]):
+    # ``ranks`` iterates in (r, k) order already.
+    entries = table.ranks.items()
     if max_r is not None:
         entries = [((r, k), v) for (r, k), v in entries if r <= max_r]
     return entries
@@ -95,7 +96,7 @@ def _emit_json(result, max_r: Optional[int]) -> None:
         "coefficients": result.table.coefficients.value,
         "ranks": [
             {"r": r, "k": k, "rank": value}
-            for (r, k), value in _sorted_entries(result.table, max_r)
+            for (r, k), value in _entries(result.table, max_r)
         ],
     }
     print(json.dumps(document))
@@ -103,7 +104,7 @@ def _emit_json(result, max_r: Optional[int]) -> None:
 
 def _emit_csv(result, max_r: Optional[int]) -> None:
     print("r,k,rank")
-    for (r, k), value in _sorted_entries(result.table, max_r):
+    for (r, k), value in _entries(result.table, max_r):
         print(f"{r},{k},{value}")
 
 
@@ -114,23 +115,17 @@ def _emit_plain(result, max_r: Optional[int]) -> None:
     print(f"proper: {'true' if table.proper else 'false'}")
     print(f"coefficients: {table.coefficients.value}")
     top_r = table.dim if max_r is None else min(max_r, table.dim)
-    width = max(
-        [len(str(v)) for v in table.ranks.values()] + [len(str(2 * table.dim)), 1]
-    )
+    width = max(len(str(v)) for row in table.rows for v in row)
+    width = max(width, len(str(2 * table.dim)))
     header = "r\\k".rjust(5) + " |" + "".join(
         str(k).rjust(width + 1) for k in range(2 * table.dim + 1)
     )
     print(header)
     print("-" * len(header))
+    blank = " " * (width + 1)  # below the defined range
     for r in range(top_r + 1):
-        cells = []
-        for k in range(2 * table.dim + 1):
-            if k < 2 * r:
-                cells.append(" ".rjust(width + 1))  # below the defined range
-            else:
-                value = table.ranks.get((r, k), 0)
-                cells.append((str(value) if value else ".").rjust(width + 1))
-        print(str(r).rjust(5) + " |" + "".join(cells))
+        cells = "".join((str(v) if v else ".").rjust(width + 1) for v in table.rows[r])
+        print(str(r).rjust(5) + " |" + blank * (2 * r) + cells)
 
 
 def _cmd_eval(ns) -> int:

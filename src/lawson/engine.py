@@ -32,6 +32,7 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable, Sequence
 
 from .grading import (
@@ -96,17 +97,21 @@ class EvaluationResult:
 
 
 def _constant_columns(
-    dim: int, proper: bool, coefficients: Coefficients, degree_ranks
+    column: tuple[int, ...], proper: bool, coefficients: Coefficients
 ) -> BiGradedTable:
-    # The shape a cell decomposition gives: the degree-k rank, taken from the
-    # mapping degree_ranks, repeats on every row r with 2r <= k.
-    ranks = {
-        (r, k): value
-        for k, value in degree_ranks.items()
-        if value
-        for r in range(k // 2 + 1)
-    }
-    return BiGradedTable(dim, proper, coefficients, ranks)
+    # The shape a cell decomposition gives: column[k], the degree-k rank for
+    # k = 0..2*dim, repeats on every row r with 2r <= k.
+    dim = (len(column) - 1) // 2
+    rows = tuple(column[2 * r :] for r in range(dim + 1))
+    return BiGradedTable(dim, proper, coefficients, rows)
+
+
+def _even_degrees(counts: Sequence[int]) -> tuple[int, ...]:
+    # Column of a space with counts[m] classes in degree 2m and none in odd
+    # degrees.
+    column = [0] * (2 * len(counts) - 1)
+    column[::2] = counts
+    return tuple(column)
 
 
 def cellular_table(cells: Iterable[int], proper: bool = True) -> BiGradedTable:
@@ -117,8 +122,9 @@ def cellular_table(cells: Iterable[int], proper: bool = True) -> BiGradedTable:
         raise ValueError("the cell list must be nonempty")
     if any(c < 0 for c in cell_list):
         raise ValueError("cell dimensions must be nonnegative")
-    degrees = Counter(2 * c for c in cell_list)
-    return _constant_columns(max(cell_list), proper, Coefficients.INTEGER, degrees)
+    counts = Counter(cell_list)
+    column = _even_degrees([counts[m] for m in range(max(cell_list) + 1)])
+    return _constant_columns(column, proper, Coefficients.INTEGER)
 
 
 def torus_table(n: int) -> BiGradedTable:
@@ -127,26 +133,21 @@ def torus_table(n: int) -> BiGradedTable:
     Borel-Moore flavor."""
     if n < 1:
         raise ValueError("the torus requires a positive dimension")
-    ranks: dict[tuple[int, int], int] = {}
-    for r in range(n + 1):
-        for k in range(max(2 * r, r + n), 2 * n + 1):
-            ranks[(r, k)] = binomial(n, k - n)
-    return BiGradedTable(n, False, Coefficients.INTEGER, ranks)
+    column = tuple(binomial(n, j) for j in range(n + 1))
+    rows = tuple((0,) * (n - r) + column[r:] for r in range(n + 1))
+    return BiGradedTable(n, False, Coefficients.INTEGER, rows)
 
 
 def _cstar_split(table: BiGradedTable) -> BiGradedTable:
     # Core of the two-term splitting for X x C*: the (r, k) rank is
     # rank(r-1, k-2) + rank(r, k-1), terms below the Lawson range vanishing.
-    n = table.dim + 1
-    ranks: dict[tuple[int, int], int] = {}
-    for r in range(n + 1):
-        for k in range(2 * r, 2 * n + 1):
-            value = rank_at(table, r - 1, k - 2)
-            if k - 1 >= 2 * r:
-                value += rank_at(table, r, k - 1)
-            if value:
-                ranks[(r, k)] = value
-    return BiGradedTable(n, False, table.coefficients, ranks)
+    # Output row r adds input row r-1 (row 0, two degrees up, for r = 0) to
+    # input row r one degree up.
+    rows = table.rows
+    lower = ((0, 0) + rows[0],) + rows
+    upper = tuple((0,) + row + (0,) for row in rows) + ((0,),)
+    split = tuple(tuple(map(add, a, b)) for a, b in zip(lower, upper))
+    return BiGradedTable(table.dim + 1, False, table.coefficients, split)
 
 
 def cstar_product(table: BiGradedTable) -> BiGradedTable:
@@ -165,18 +166,8 @@ def suspend(table: BiGradedTable) -> BiGradedTable:
         raise ValueError("suspension requires a projective variety")
     if table.coefficients is not Coefficients.INTEGER:
         raise ValueError("suspension requires integer coefficients")
-    n = table.dim + 1
-    ranks: dict[tuple[int, int], int] = {(0, 0): 1}
-    for k in range(2, 2 * n + 1):
-        value = rank_at(table, 0, k - 2)
-        if value:
-            ranks[(0, k)] = value
-    for r in range(1, n + 1):
-        for k in range(2 * r, 2 * n + 1):
-            value = rank_at(table, r - 1, k - 2)
-            if value:
-                ranks[(r, k)] = value
-    return BiGradedTable(n, True, Coefficients.INTEGER, ranks)
+    rows = ((1, 0) + table.rows[0],) + table.rows
+    return BiGradedTable(table.dim + 1, True, Coefficients.INTEGER, rows)
 
 
 def decompose(components: Sequence[FixedComponent]) -> BiGradedTable:
@@ -210,16 +201,15 @@ def quadric_table(d: int) -> BiGradedTable:
     two routes can check each other."""
     if d < 1:
         raise ValueError("the split quadric requires d >= 1")
-    degrees = {k: 2 if k == 2 * d else 1 for k in range(0, 4 * d + 1, 2)}
-    return _constant_columns(2 * d, True, Coefficients.INTEGER, degrees)
+    column = _even_degrees([2 if m == d else 1 for m in range(2 * d + 1)])
+    return _constant_columns(column, True, Coefficients.INTEGER)
 
 
 def toric_smooth_table(cone_counts: Sequence[int]) -> BiGradedTable:
     """Table of a smooth proper toric variety from its cone counts, through
     the alternating-sum Betti numbers; constant down each column."""
-    counts = check_cone_counts(cone_counts)
-    degrees = {2 * m: b for m, b in enumerate(smooth_toric_betti(counts))}
-    return _constant_columns(len(counts) - 1, True, Coefficients.INTEGER, degrees)
+    column = _even_degrees(smooth_toric_betti(check_cone_counts(cone_counts)))
+    return _constant_columns(column, True, Coefficients.INTEGER)
 
 
 def hilb_table(b2: int, d: int) -> BiGradedTable:
@@ -231,8 +221,7 @@ def hilb_table(b2: int, d: int) -> BiGradedTable:
     if b2 < 0:
         raise ValueError("the middle Betti number must be nonnegative")
     series = cheah_series(b2, d)
-    degrees = {k: series.coefficient(k, d) for k in range(0, 4 * d + 1)}
-    return _constant_columns(2 * d, True, Coefficients.INTEGER, degrees)
+    return _constant_columns(series.t_row(d), True, Coefficients.INTEGER)
 
 
 def sp_table(
@@ -247,20 +236,9 @@ def sp_table(
         raise ValueError("cell dimensions must be nonnegative")
     if d < 1:
         raise ValueError("a symmetric product requires d >= 1")
-    # The MacDonald product needs a class in degree zero, so profiles with a
-    # positive minimal cell are reduced by that minimum and the degrees
-    # shifted back afterwards: a size-d multiset gains exactly d copies of
-    # the common offset.
-    base = min(cells)
-    top = max(cells)
-    counts = Counter(c - base for c in cells)
-    betti = [counts.get(i, 0) for i in range(top - base + 1)]
-    series = macdonald_series(betti, d)
-    offset = 2 * d * base
-    degrees = {
-        k + offset: series.coefficient(k, d) for k in range(0, 2 * d * (top - base) + 1)
-    }
-    return _constant_columns(d * top, proper, Coefficients.RATIONAL, degrees)
+    counts = Counter(cells)
+    series = macdonald_series([counts[m] for m in range(max(cells) + 1)], d)
+    return _constant_columns(series.t_row(d), proper, Coefficients.RATIONAL)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,12 @@
 A variety of complex dimension n carries a family of cycle-space homology
 groups indexed by a cycle dimension r and a topological degree k, defined
 for 0 <= 2r <= k <= 2n.  Every group that the calculator can reach is free
-abelian (or a rational vector space), so a table records nothing but the
-nonzero ranks, keyed by the pair (r, k).
+abelian (or a rational vector space), so a table records nothing but ranks.
+It stores them as rows: row r is the tuple of ranks at k = 2r, ..., 2n, so
+the triangle is exactly the set of representable entries.  Every transport
+rule maps an output row to one input row moved up in degree, so builders
+work on whole rows and tables share them.  The mapping ``ranks`` is a
+derived read-only view of the nonzero entries, keyed by (r, k).
 
 Three conventions are baked into lookups and are relied on everywhere else:
 
@@ -21,7 +25,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from operator import add
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -52,37 +58,47 @@ def binomial(n: int, j: int) -> int:
 
 @dataclass(frozen=True)
 class BiGradedTable:
-    """Sparse table of ranks, keyed by (r, k) with 0 <= 2r <= k <= 2*dim.
+    """Table of ranks on the triangle 0 <= 2r <= k <= 2*dim, stored by row.
 
     ``dim`` is the complex dimension of the underlying variety, ``proper``
     records whether the variety is compact (non-proper tables hold
-    Borel-Moore style ranks), and ``coefficients`` tags the ring.  Absent
-    keys mean rank zero; zero values are normalized away on construction so
-    equality is representation-independent.
+    Borel-Moore style ranks), and ``coefficients`` tags the ring.  ``rows``
+    holds dim + 1 tuples; row r lists the ranks at k = 2r, ..., 2*dim, so it
+    has 2*(dim - r) + 1 entries.  Row tuples are kept as given, which lets
+    tables share rows.  ``ranks`` is the read-only mapping (r, k) -> rank of
+    the nonzero entries, in (r, k) order, built on first use.
     """
 
     dim: int
     proper: bool
     coefficients: Coefficients
-    ranks: Mapping[tuple[int, int], int] = field(default_factory=dict)
+    rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         if self.dim < 0:
             raise ValueError("complex dimension must be nonnegative")
         if not isinstance(self.coefficients, Coefficients):
             raise TypeError("coefficients must be a Coefficients tag")
-        cleaned: dict[tuple[int, int], int] = {}
-        for (r, k), value in self.ranks.items():
-            if value == 0:
-                continue
-            if value < 0:
-                raise ValueError(f"rank at {(r, k)} is negative")
-            if not (0 <= 2 * r <= k <= 2 * self.dim):
-                raise ValueError(
-                    f"grading pair {(r, k)} violates 0 <= 2r <= k <= {2 * self.dim}"
-                )
-            cleaned[(r, k)] = value
-        object.__setattr__(self, "ranks", MappingProxyType(cleaned))
+        rows = tuple(map(tuple, self.rows))  # tuple() returns a tuple as is
+        if len(rows) != self.dim + 1:
+            raise ValueError(f"dimension {self.dim} needs {self.dim + 1} rows")
+        for r, row in enumerate(rows):
+            if len(row) != 2 * (self.dim - r) + 1:
+                raise ValueError(f"row {r} must hold {2 * (self.dim - r) + 1} ranks")
+        if min(map(min, rows)) < 0:
+            raise ValueError("ranks must be nonnegative")
+        object.__setattr__(self, "rows", rows)
+
+    @cached_property
+    def ranks(self) -> Mapping[tuple[int, int], int]:
+        return MappingProxyType(
+            {
+                (r, k): value
+                for r, row in enumerate(self.rows)
+                for k, value in enumerate(row, 2 * r)
+                if value
+            }
+        )
 
 
 @dataclass(frozen=True)
@@ -107,7 +123,7 @@ def rank_at(table: BiGradedTable, r: int, k: int) -> int:
         )
     if k < 0 or k > 2 * table.dim:
         return 0
-    return table.ranks.get((r, k), 0)
+    return table.rows[r][k - 2 * r]
 
 
 def shift_and_sum(
@@ -118,7 +134,8 @@ def shift_and_sum(
     """Direct sum of tables, each shifted by a nonnegative weight.
 
     A summand (T, s) contributes rank_at(T, r - s, k - 2s) to the (r, k)
-    entry of the result.  This is the common engine behind fixed-component
+    entry of the result: output row r takes row max(r - s, 0) of T, moved
+    up 2s degrees.  This is the common engine behind fixed-component
     decompositions and cellular fiber bundles.  All summands must carry the
     same coefficient tag, and the target dimension must be large enough to
     hold every shifted summand.
@@ -137,26 +154,30 @@ def shift_and_sum(
                 f"target dimension {target_dimension} cannot hold a summand of "
                 f"dimension {table.dim} shifted by {shift}"
             )
-    ranks: dict[tuple[int, int], int] = {}
+    rows = []
     for r in range(target_dimension + 1):
-        for k in range(2 * r, 2 * target_dimension + 1):
-            # Inside 0 <= 2r <= k the shifted indices never dip below the
-            # Lawson range, so rank_at applies all conventions for us.
-            total = sum(rank_at(table, r - s, k - 2 * s) for table, s in summands)
-            if total:
-                ranks[(r, k)] = total
-    return BiGradedTable(target_dimension, proper, tags.pop(), ranks)
+        row = [0] * (2 * (target_dimension - r) + 1)
+        for table, s in summands:
+            if r - s > table.dim:
+                continue
+            # Below the shift (r < s) the summand's row 0 stands in for its
+            # negative cycle dimension, and its degree 0 lands 2(s - r)
+            # places into the output row.
+            source = table.rows[max(r - s, 0)]
+            start = 2 * max(s - r, 0)
+            end = start + len(source)
+            row[start:end] = map(add, row[start:end], source)
+        rows.append(tuple(row))
+    return BiGradedTable(target_dimension, proper, tags.pop(), tuple(rows))
 
 
 def euler_chi(table: BiGradedTable, p: int) -> int:
     """Signed rank sum of row p: sum over k >= 2p of (-1)^k rank(p, k)."""
     if p < 0 or p > table.dim:
         raise ValueError(f"row index p must lie in 0..{table.dim}")
-    total = 0
-    for k in range(2 * p, 2 * table.dim + 1):
-        value = rank_at(table, p, k)
-        total += -value if k % 2 else value
-    return total
+    # Row p starts at the even degree 2p, so even positions are even degrees.
+    row = table.rows[p]
+    return sum(row[::2]) - sum(row[1::2])
 
 
 def chi_profile(table: BiGradedTable) -> ChiProfile:

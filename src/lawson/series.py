@@ -121,16 +121,17 @@ def macdonald_series(even_betti: Sequence[int], max_d: int) -> TruncatedBiSeries
     """MacDonald's symmetric-power product for a space with homology
     concentrated in even degrees: prod_i (1 - z^(2i) t)^(-b_{2i}).
 
-    ``even_betti`` lists b_0, b_2, ..., b_{2n}; it must be nonempty with
-    b_0 >= 1.  The box is max_z = 2*max_d*n, max_t = max_d.
+    ``even_betti`` lists b_0, b_2, ..., b_{2n}: nonnegative, not all zero.
+    b_0 may be zero, since every factor has t-exponent 1 and the product
+    still truncates.  The box is max_z = 2*max_d*n, max_t = max_d.
     """
     betti = list(even_betti)
     if not betti:
         raise ValueError("the Betti list must be nonempty")
-    if betti[0] < 1:
-        raise ValueError("b_0 must be at least 1")
     if any(b < 0 for b in betti):
         raise ValueError("Betti numbers must be nonnegative")
+    if not any(betti):
+        raise ValueError("at least one Betti number must be positive")
     if max_d < 1:
         raise ValueError("the truncation order must be at least 1")
     max_z = 2 * max_d * (len(betti) - 1)

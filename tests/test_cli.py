@@ -1,7 +1,11 @@
+import hashlib
 import json
+import random
 
 import pytest
 
+from astgen import random_expr
+from lawson import render
 from lawson.cli import main, run
 
 
@@ -200,6 +204,11 @@ class TestSeries:
             "d=2: 1 0 1 0 1",
         ]
 
+    def test_sp_without_a_zero_cell(self, capsys):
+        code, out, err = invoke(capsys, "series", "sp", "--cells", "1,2", "--d", "2")
+        assert code == 0 and err == ""
+        assert out.splitlines()[2] == "d=2: 0 0 0 0 1 0 1 0 1"
+
     def test_sp_accepts_bracketed_cells(self, capsys):
         plain = invoke(capsys, "series", "sp", "--cells", "0,1", "--d", "2")
         bracketed = invoke(capsys, "series", "sp", "--cells", "[0,1]", "--d", "2")
@@ -253,3 +262,38 @@ class TestUsage:
             main()
         assert exc.value.code == 0
         assert capsys.readouterr().out == "3\n"
+
+
+# Byte-for-byte lock on the CLI: one digest over the exit code and stdout of a
+# fixed corpus.  A change to any emitted byte, for any format, changes it.
+README_COMMANDS = (
+    ("eval", "quadric(2)"),
+    ("chi", "--all", "toric([1,3,3],smooth)"),
+    ("chow", "torus(2)", "--r", "0", "--m", "3"),
+    ("series", "hilb", "--b2", "1", "--d", "2"),
+    ("series", "sp", "--cells", "0,1,1,2", "--d", "2"),
+    ("check", "--suite", "quadric"),
+)
+CORPUS_SEED = 2009
+CORPUS_SIZE = 200
+CORPUS_DIGEST = "a89d6083456b80ee4d6ee3898d88149c25b9d8c696a23a1240881d12312ec08d"
+
+
+def corpus_commands():
+    yield from README_COMMANDS
+    rng = random.Random(CORPUS_SEED)
+    for _ in range(CORPUS_SIZE):
+        text = render(random_expr(rng))
+        for fmt in ("plain", "json", "csv"):
+            yield ("eval", text, "--format", fmt)
+            for bound in ("0", "-1"):
+                yield ("eval", text, "--format", fmt, "--max-r", bound)
+        yield ("chi", "--all", text)
+
+
+def test_corpus_bytes_are_pinned(capsys):
+    digest = hashlib.sha256()
+    for argv in corpus_commands():
+        code, out, _ = invoke(capsys, *argv)
+        digest.update(repr((argv, code, out)).encode())
+    assert digest.hexdigest() == CORPUS_DIGEST

@@ -12,6 +12,7 @@ from lawson import (
     quadric_table,
     rank_at,
     shift_and_sum,
+    suspend,
     torus_table,
 )
 
@@ -56,28 +57,37 @@ class TestBinomial:
 
 
 class TestBiGradedTable:
-    def test_zero_ranks_are_normalized_away(self):
-        a = BiGradedTable(1, True, Z, {(0, 0): 1, (0, 1): 0})
-        b = BiGradedTable(1, True, Z, {(0, 0): 1})
-        assert a == b
-        assert (0, 1) not in a.ranks
+    def test_ranks_view_holds_the_nonzero_entries(self):
+        table = BiGradedTable(1, True, Z, ((1, 0, 1), (1,)))
+        assert dict(table.ranks) == {(0, 0): 1, (0, 2): 1, (1, 2): 1}
+        assert table == BiGradedTable(1, True, Z, [[1, 0, 1], [1]])
 
-    def test_bad_grading_pairs_rejected(self):
-        with pytest.raises(ValueError):
-            BiGradedTable(1, True, Z, {(1, 1): 1})  # k < 2r
-        with pytest.raises(ValueError):
-            BiGradedTable(1, True, Z, {(0, 3): 1})  # k > 2*dim
-        with pytest.raises(ValueError):
-            BiGradedTable(1, True, Z, {(-1, 0): 1})
+    def test_wrong_row_count_rejected(self):
+        with pytest.raises(ValueError, match="2 rows"):
+            BiGradedTable(1, True, Z, ((1, 0, 1),))
+        with pytest.raises(ValueError, match="2 rows"):
+            BiGradedTable(1, True, Z, ((1, 0, 1), (1,), ()))
+
+    def test_wrong_row_length_rejected(self):
+        with pytest.raises(ValueError, match="row 0"):
+            BiGradedTable(1, True, Z, ((1, 0), (1,)))  # stops short of k = 2
+        with pytest.raises(ValueError, match="row 1"):
+            BiGradedTable(1, True, Z, ((1, 0, 1), (0, 1)))  # reaches k = 1 < 2r
 
     def test_negative_ranks_rejected(self):
         with pytest.raises(ValueError):
-            BiGradedTable(1, True, Z, {(0, 0): -2})
+            BiGradedTable(1, True, Z, ((-2, 0, 0), (0,)))
 
     def test_ranks_mapping_is_read_only(self):
-        table = BiGradedTable(0, True, Z, {(0, 0): 1})
+        table = BiGradedTable(0, True, Z, ((1,),))
         with pytest.raises(TypeError):
             table.ranks[(0, 0)] = 5
+
+    def test_suspension_shares_the_inner_rows(self):
+        inner = quadric_table(2)
+        rows = suspend(inner).rows
+        assert len(rows) == len(inner.rows) + 1
+        assert all(outer is row for outer, row in zip(rows[1:], inner.rows))
 
 
 class TestRankAt:
@@ -110,10 +120,11 @@ class TestRankAt:
 @st.composite
 def small_tables(draw, max_dim=3):
     dim = draw(st.integers(0, max_dim))
-    pairs = [(r, k) for r in range(dim + 1) for k in range(2 * r, 2 * dim + 1)]
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
-    ranks = {pair: draw(st.integers(1, 9)) for pair in chosen}
-    return BiGradedTable(dim, True, Coefficients.INTEGER, ranks)
+    rows = tuple(
+        tuple(draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)))
+        for n in (2 * (dim - r) + 1 for r in range(dim + 1))
+    )
+    return BiGradedTable(dim, True, Coefficients.INTEGER, rows)
 
 
 class TestShiftAndSum:
@@ -139,7 +150,7 @@ class TestShiftAndSum:
 
     def test_mixed_coefficient_tags_rejected(self):
         integral = cellular_table((0,))
-        rational = BiGradedTable(0, True, Q, {(0, 0): 1})
+        rational = BiGradedTable(0, True, Q, ((1,),))
         with pytest.raises(ValueError, match="mixed"):
             shift_and_sum([(integral, 0), (rational, 0)], 0, proper=True)
 

@@ -5,6 +5,8 @@ first ones that evaluate, so the two routes are compared only where the
 calculator gives an answer.
 """
 
+from collections import Counter
+
 from hypothesis import assume, given, settings, strategies as st
 
 from lawson import (
@@ -18,6 +20,7 @@ from lawson import (
     UnsupportedQueryError,
     ValidationError,
     evaluate,
+    rank_at,
 )
 
 from astgen import random_expr
@@ -61,6 +64,16 @@ def test_product_commutes(rng):
 
 @PROPERTY
 @given(RANDOMS)
+def test_product_associates(rng):
+    x, _ = _evaluating(rng)
+    y, _ = _evaluating(rng, lambda r: r.attributes.cell_profile is not None)
+    z, _ = _evaluating(rng, lambda r: r.attributes.cell_profile is not None)
+    left = evaluate(Product(Product(x, y), z)).table
+    assert evaluate(Product(x, Product(y, z))).table == left
+
+
+@PROPERTY
+@given(RANDOMS)
 def test_bundle_over_a_cell_profile_is_the_product(rng):
     x, _ = _evaluating(rng)
     y, fiber = _evaluating(rng, lambda r: r.attributes.cell_profile is not None)
@@ -73,3 +86,34 @@ def test_bundle_over_a_cell_profile_is_the_product(rng):
     )
     # The bundle is as proper as its base; the product needs both factors.
     assert product.proper == (bundle.proper and fiber.table.proper)
+
+
+@PROPERTY
+@given(RANDOMS)
+def test_row_zero_counts_cells(rng):
+    # Dold-Thom: row 0 is singular homology, one class in degree 2m per m-cell.
+    _, result = _evaluating(rng, lambda r: r.attributes.cell_profile is not None)
+    cells = Counter(result.attributes.cell_profile)
+    row = result.table.rows[0]
+    assert row == tuple(0 if k % 2 else cells[k // 2] for k in range(len(row)))
+
+
+@PROPERTY
+@given(RANDOMS)
+def test_columns_are_constant_given_a_cell_profile(rng):
+    _, result = _evaluating(rng, lambda r: r.attributes.cell_profile is not None)
+    rows = result.table.rows
+    assert all(row == rows[0][2 * r :] for r, row in enumerate(rows))
+
+
+@PROPERTY
+@given(RANDOMS)
+def test_rank_at_reads_the_ranks_view(rng):
+    _, result = _evaluating(rng)
+    table = result.table
+    assert list(table.ranks) == sorted(table.ranks)
+    assert all(
+        rank_at(table, r, k) == table.ranks.get((r, k), 0)
+        for r in range(table.dim + 1)
+        for k in range(2 * r, 2 * table.dim + 1)
+    )

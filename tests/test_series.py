@@ -169,11 +169,20 @@ class TestMacdonaldSeries:
         row = series.t_row(2)
         assert [row[k] for k in range(0, 9, 2)] == [1, 2, 4, 2, 1]
 
+    def test_profile_without_a_zero_cell(self):
+        # b_0 = 0 is allowed: one 1-cell gives a single class z^(2d) t^d.
+        series = macdonald_series([0, 1], 2)
+        assert [series.t_row(d) for d in range(3)] == [
+            (1, 0, 0, 0, 0),
+            (0, 0, 1, 0, 0),
+            (0, 0, 0, 0, 1),
+        ]
+
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(ValueError):
             macdonald_series([], 2)
         with pytest.raises(ValueError):
-            macdonald_series([0, 1], 2)
+            macdonald_series([0, 0], 2)
         with pytest.raises(ValueError):
             macdonald_series([1, -1], 2)
         with pytest.raises(ValueError):
