@@ -2,7 +2,8 @@
 Hilbert schemes of points
 =========================
 
-For a simply connected surface the punctual Hilbert schemes have cell
+For a surface with a C*-action and isolated fixed points (a toric surface
+with b2 + 2 rays, say) the punctual Hilbert schemes have cell
 decompositions whose counts come out of a single two-variable product
 series.  The calculator exposes the raw coefficients and the assembled
 tables.

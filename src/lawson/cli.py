@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import Counter
 from typing import Optional, Sequence
 
 from .dsl import ParseError, parse
@@ -28,6 +27,7 @@ from .engine import (
     run_checks,
 )
 from .series import cheah_series, macdonald_series
+from .varieties import cell_counts
 
 
 class _UsageError(Exception):
@@ -176,10 +176,7 @@ def _cmd_series(ns) -> int:
     if ns.series_kind == "hilb":
         _emit_series_rows(cheah_series(ns.b2, ns.d))
         return 0
-    cells = _parse_cells(ns.cells)
-    counts = Counter(cells)
-    betti = [counts.get(i, 0) for i in range(max(cells) + 1)]
-    _emit_series_rows(macdonald_series(betti, ns.d))
+    _emit_series_rows(macdonald_series(cell_counts(_parse_cells(ns.cells)), ns.d))
     return 0
 
 
@@ -214,6 +211,9 @@ def run(argv: Sequence[str]) -> int:
     except SystemExit as exc:  # --help and friends
         code = exc.code
         return int(code) if isinstance(code, int) else 0
+    # Exact answers may have any number of digits, so lift the limit in here.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return _HANDLERS[ns.command](ns)
     except ParseError as exc:
@@ -225,6 +225,8 @@ def run(argv: Sequence[str]) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def main() -> None:

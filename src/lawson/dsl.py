@@ -32,14 +32,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .varieties import NODE_TYPES, FixedComponent, Smoothness, VarietyExpr
+from .varieties import MAX_DEPTH, NODE_TYPES, FixedComponent, Smoothness, VarietyExpr
 
 MAX_LITERAL = 1_000_000
-
-# Deep enough for every realistic tree, shallow enough that parsing,
-# validation, evaluation and rendering stay well inside the interpreter's
-# default recursion limit.
-MAX_DEPTH = 200
 
 _KEYWORD_STARTS = tuple(NODE_TYPES)
 

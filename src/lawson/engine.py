@@ -65,7 +65,9 @@ from .varieties import (
     Torus,
     VarietyAttributes,
     VarietyExpr,
+    cell_counts,
     check_cone_counts,
+    convolve,
     render,
     smooth_toric_betti,
     validate,
@@ -117,14 +119,7 @@ def _even_degrees(counts: Sequence[int]) -> tuple[int, ...]:
 def cellular_table(cells: Iterable[int], proper: bool = True) -> BiGradedTable:
     """Table of a variety with cells of the given dimensions: every group in
     degree k = 2m has rank equal to the number of m-cells, independent of r."""
-    cell_list = tuple(cells)
-    if not cell_list:
-        raise ValueError("the cell list must be nonempty")
-    if any(c < 0 for c in cell_list):
-        raise ValueError("cell dimensions must be nonnegative")
-    counts = Counter(cell_list)
-    column = _even_degrees([counts[m] for m in range(max(cell_list) + 1)])
-    return _constant_columns(column, proper, Coefficients.INTEGER)
+    return _constant_columns(_even_degrees(cell_counts(cells)), proper, Coefficients.INTEGER)
 
 
 def torus_table(n: int) -> BiGradedTable:
@@ -182,16 +177,14 @@ def fiber_bundle_table(
 ) -> BiGradedTable:
     """Table of a Zariski-locally trivial bundle with cellular fibers: one
     shifted copy of the base table per fiber cell.  Properness follows the
-    base unless overridden, as when the cells come from a non-proper product
-    factor."""
-    cells = tuple(fiber_cells)
-    if not cells:
-        raise ValueError("the fiber needs at least one cell")
-    if any(c < 0 for c in cells):
-        raise ValueError("fiber cell dimensions must be nonnegative")
-    target = base.dim + max(cells)
-    flag = base.proper if proper is None else proper
-    return shift_and_sum([(base, c) for c in cells], target, flag)
+    base unless overridden."""
+    return _bundle(base, cell_counts(fiber_cells), base.proper if proper is None else proper)
+
+
+def _bundle(base: BiGradedTable, betti: Sequence[int], proper: bool) -> BiGradedTable:
+    # The fiber's b_m copies of the base, shifted by m, as one weighted summand.
+    summands = [(base, m, b) for m, b in enumerate(betti) if b]
+    return shift_and_sum(summands, base.dim + len(betti) - 1, proper)
 
 
 def quadric_table(d: int) -> BiGradedTable:
@@ -213,9 +206,10 @@ def toric_smooth_table(cone_counts: Sequence[int]) -> BiGradedTable:
 
 
 def hilb_table(b2: int, d: int) -> BiGradedTable:
-    """Table of the Hilbert scheme of d points on a simply connected surface
-    with middle Betti number b2: the degree-k rank is the z^k t^d Cheah
-    coefficient, on every admissible row."""
+    """Table of the Hilbert scheme of d points on a surface with a C*-action
+    and isolated fixed points (a toric surface with b2 + 2 rays, say): the
+    degree-k rank is the z^k t^d Cheah coefficient, on every row.  Not for
+    other surfaces: on a K3, L_1H_2 is Neron-Severi, of rank <= 20, not 22."""
     if d < 1:
         raise ValueError("the Hilbert scheme requires d >= 1")
     if b2 < 0:
@@ -229,15 +223,11 @@ def sp_table(
 ) -> BiGradedTable:
     """Rational table of the d-th symmetric product of a cellular variety
     with the given cell profile, through the MacDonald product."""
-    cells = tuple(inner_profile)
-    if not cells:
-        raise ValueError("the cell profile must be nonempty")
-    if any(c < 0 for c in cells):
-        raise ValueError("cell dimensions must be nonnegative")
-    if d < 1:
-        raise ValueError("a symmetric product requires d >= 1")
-    counts = Counter(cells)
-    series = macdonald_series([counts[m] for m in range(max(cells) + 1)], d)
+    return _symmetric_power(cell_counts(inner_profile), d, proper)
+
+
+def _symmetric_power(betti: Sequence[int], d: int, proper: bool) -> BiGradedTable:
+    series = macdonald_series(betti, d)
     return _constant_columns(series.t_row(d), proper, Coefficients.RATIONAL)
 
 
@@ -289,12 +279,11 @@ def _suspension_rule(e: Suspension, attrs, build) -> BiGradedTable:
 
 
 def _product_rule(e: Product, attrs, build) -> BiGradedTable:
-    # A product is a bundle whose fiber is a cell-profiled factor; validate()
-    # has already guaranteed that at least one side has a profile.
-    base, fiber = e.left, attrs(e.right).cell_profile
+    # A bundle over one factor, fibered by the other; validate() ensured one has betti.
+    base, fiber = e.left, attrs(e.right).betti
     if fiber is None:
-        base, fiber = e.right, attrs(e.left).cell_profile
-    return fiber_bundle_table(build(base), fiber, proper=attrs(e).proper)
+        base, fiber = e.right, attrs(e.left).betti
+    return _bundle(build(base), fiber, attrs(e).proper)
 
 
 def _decomposition_rule(e: Decomposition, attrs, build) -> BiGradedTable:
@@ -321,8 +310,8 @@ _BUILD = {
         build(e.base), e.fiber_cells
     ),
     Decomposition: _decomposition_rule,
-    SymmetricProduct: lambda e, attrs, build: sp_table(
-        attrs(e.inner).cell_profile, e.d, proper=attrs(e).proper
+    SymmetricProduct: lambda e, attrs, build: _symmetric_power(
+        attrs(e.inner).betti, e.d, attrs(e).proper
     ),
     HilbertScheme: lambda e, attrs, build: hilb_table(e.b2, e.d),
 }
@@ -437,14 +426,6 @@ def _pn_cone_counts(n: int) -> tuple[int, ...]:
     return tuple(binomial(n + 1, i) for i in range(n + 1))
 
 
-def _convolve(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return tuple(out)
-
-
 def _random_smooth_cone_counts(rng: random.Random) -> tuple[int, ...]:
     # Sample from two provably realizable families: products of projective
     # spaces, and P^2 blown up at fixed points (counts (1, m, m)).
@@ -453,7 +434,7 @@ def _random_smooth_cone_counts(rng: random.Random) -> tuple[int, ...]:
         return (1, m, m)
     counts: tuple[int, ...] = (1,)
     for _ in range(rng.randint(1, 3)):
-        counts = _convolve(counts, _pn_cone_counts(rng.randint(1, 3)))
+        counts = convolve(counts, _pn_cone_counts(rng.randint(1, 3)))
     return counts
 
 
@@ -669,7 +650,7 @@ def _general_checks() -> list[CheckResult]:
             "profiled corpus",
             all(
                 rank_at(result.table, 0, k)
-                == (result.attributes.cell_profile.count(k // 2) if k % 2 == 0 else 0)
+                == (result.attributes.betti[k // 2] if k % 2 == 0 else 0)
                 for result in profiled
                 for k in range(2 * result.attributes.dim + 1)
             ),

@@ -127,7 +127,7 @@ def rank_at(table: BiGradedTable, r: int, k: int) -> int:
 
 
 def shift_and_sum(
-    summands: Sequence[tuple[BiGradedTable, int]],
+    summands: Sequence[tuple[BiGradedTable, int] | tuple[BiGradedTable, int, int]],
     target_dimension: int,
     proper: bool,
 ) -> BiGradedTable:
@@ -135,20 +135,21 @@ def shift_and_sum(
 
     A summand (T, s) contributes rank_at(T, r - s, k - 2s) to the (r, k)
     entry of the result: output row r takes row max(r - s, 0) of T, moved
-    up 2s degrees.  This is the common engine behind fixed-component
+    up 2s degrees.  A summand (T, s, times) counts as ``times`` copies of
+    (T, s).  This is the common engine behind fixed-component
     decompositions and cellular fiber bundles.  All summands must carry the
     same coefficient tag, and the target dimension must be large enough to
     hold every shifted summand.
     """
-    summands = list(summands)
+    summands = [(table, shift, times[0] if times else 1) for table, shift, *times in summands]
     if not summands:
         raise ValueError("at least one summand is required")
-    tags = {table.coefficients for table, _ in summands}
+    tags = {table.coefficients for table, _, _ in summands}
     if len(tags) > 1:
         raise ValueError("summands carry mixed coefficient tags")
-    for table, shift in summands:
-        if shift < 0:
-            raise ValueError("shifts must be nonnegative")
+    for table, shift, times in summands:
+        if shift < 0 or times < 0:
+            raise ValueError("shifts and multiplicities must be nonnegative")
         if target_dimension < table.dim + shift:
             raise ValueError(
                 f"target dimension {target_dimension} cannot hold a summand of "
@@ -157,13 +158,15 @@ def shift_and_sum(
     rows = []
     for r in range(target_dimension + 1):
         row = [0] * (2 * (target_dimension - r) + 1)
-        for table, s in summands:
+        for table, s, times in summands:
             if r - s > table.dim:
                 continue
             # Below the shift (r < s) the summand's row 0 stands in for its
             # negative cycle dimension, and its degree 0 lands 2(s - r)
             # places into the output row.
             source = table.rows[max(r - s, 0)]
+            if times != 1:
+                source = [times * value for value in source]
             start = 2 * max(s - r, 0)
             end = start + len(source)
             row[start:end] = map(add, row[start:end], source)

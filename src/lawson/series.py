@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .grading import binomial
-
 
 @dataclass(frozen=True)
 class TruncatedBiSeries:
@@ -85,13 +83,12 @@ def geometric_factor(
         raise ValueError("the z-exponent must be nonnegative")
     if multiplicity < 0:
         raise ValueError("multiplicity must be nonnegative")
-    if multiplicity == 0:
-        return one(max_z, max_t)
     coefficients: dict[tuple[int, int], int] = {}
-    j = 0
+    j, weight = 0, 1
     while z_exp * j <= max_z and t_exp * j <= max_t:
-        coefficients[(z_exp * j, t_exp * j)] = binomial(multiplicity - 1 + j, j)
+        coefficients[(z_exp * j, t_exp * j)] = weight
         j += 1
+        weight = weight * (multiplicity - 1 + j) // j  # C(m-1+j, j) from C(m-2+j, j-1)
     return TruncatedBiSeries(max_z, max_t, coefficients)
 
 

@@ -22,12 +22,18 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, fields
+from itertools import zip_longest
 from typing import ClassVar, Optional
 
 from .grading import Coefficients, binomial
 
 Z = Coefficients.INTEGER
 Q = Coefficients.RATIONAL
+
+# Deep enough for every realistic tree, shallow enough that parsing,
+# validation, evaluation and rendering stay well inside the interpreter's
+# default recursion limit.
+MAX_DEPTH = 200
 
 
 class ValidationError(ValueError):
@@ -89,7 +95,7 @@ def _require(condition: bool, message: str) -> None:
 @_node("pt")
 class Point(VarietyExpr):
     def attributes(self):
-        return VarietyAttributes(0, True, Z, (0,), True)
+        return VarietyAttributes(0, True, Z, (1,), True)
 
 
 @_node("P", "nat")
@@ -98,7 +104,7 @@ class ProjectiveSpace(VarietyExpr):
 
     def attributes(self):
         _require(self.n >= 1, "projective space requires a positive dimension")
-        return VarietyAttributes(self.n, True, Z, tuple(range(self.n + 1)), True)
+        return VarietyAttributes(self.n, True, Z, (1,) * (self.n + 1), True)
 
 
 @_node("affine", "nat")
@@ -107,7 +113,7 @@ class AffineSpace(VarietyExpr):
 
     def attributes(self):
         _require(self.n >= 1, "affine space requires a positive dimension")
-        return VarietyAttributes(self.n, False, Z, (self.n,), True)
+        return VarietyAttributes(self.n, False, Z, (0,) * self.n + (1,), True)
 
 
 @_node("torus", "nat")
@@ -129,8 +135,8 @@ class SplitQuadric(VarietyExpr):
 
     def attributes(self):
         _require(self.d >= 1, "the split quadric requires d >= 1")
-        profile = tuple(range(self.d + 1)) + tuple(range(self.d, 2 * self.d + 1))
-        return VarietyAttributes(2 * self.d, True, Z, profile, False)
+        betti = tuple(2 if m == self.d else 1 for m in range(2 * self.d + 1))
+        return VarietyAttributes(2 * self.d, True, Z, betti, False)
 
 
 @_node("singquadric", "nat", "nat")
@@ -144,7 +150,7 @@ class SingularHypersurface(VarietyExpr):
     def attributes(self):
         _require(self.m >= 2, "the hypersurface degree must exceed 1")
         _require(self.d >= 1, "the hypersurface requires d >= 1")
-        # Same table as the split quadric, but no cell profile is claimed
+        # Same table as the split quadric, but no cell counts are claimed
         # for the singular model.
         return VarietyAttributes(2 * self.d, True, Z, None, False)
 
@@ -157,9 +163,8 @@ class Cellular(VarietyExpr):
     cells: tuple[int, ...]
 
     def attributes(self):
-        _require(len(self.cells) >= 1, "a cellular variety needs at least one cell")
-        _require(all(c >= 0 for c in self.cells), "cell dimensions must be nonnegative")
-        return VarietyAttributes(max(self.cells), True, Z, self.cells, False)
+        betti = cell_counts(self.cells)
+        return VarietyAttributes(len(betti) - 1, True, Z, betti, False)
 
 
 @_node("toric", "natlist", "flag")
@@ -173,9 +178,7 @@ class Toric(VarietyExpr):
         counts = check_cone_counts(self.cone_counts)
         n = len(counts) - 1
         if self.smoothness is Smoothness.SMOOTH:
-            betti = smooth_toric_betti(counts)
-            profile = tuple(m for m, b in enumerate(betti) for _ in range(b))
-            return VarietyAttributes(n, True, Z, profile, True)
+            return VarietyAttributes(n, True, Z, tuple(smooth_toric_betti(counts)), True)
         rational = self.smoothness is Smoothness.SIMPLICIAL
         return VarietyAttributes(n, True, Q if rational else Z, None, True)
 
@@ -188,10 +191,8 @@ class Suspension(VarietyExpr):
 
     def attributes(self, inner):
         _require(inner.proper, "suspension requires a projective inner variety")
-        profile = None
-        if inner.cell_profile is not None:
-            profile = (0,) + tuple(c + 1 for c in inner.cell_profile)
-        return VarietyAttributes(inner.dim + 1, True, inner.coefficients, profile, False)
+        betti = None if inner.betti is None else (1,) + inner.betti
+        return VarietyAttributes(inner.dim + 1, True, inner.coefficients, betti, False)
 
 
 @_node("prod", "expr", "expr")
@@ -201,14 +202,14 @@ class Product(VarietyExpr):
 
     def attributes(self, left, right):
         _require(
-            left.cell_profile is not None or right.cell_profile is not None,
+            left.betti is not None or right.betti is not None,
             "a product is supported only when at least one factor has a cell profile",
         )
         return VarietyAttributes(
             left.dim + right.dim,
             left.proper and right.proper,
             _common_ring((left, right)),
-            _pairwise_sums(left.cell_profile, right.cell_profile),
+            None if None in (left.betti, right.betti) else convolve(left.betti, right.betti),
             left.toric and right.toric,
         )
 
@@ -221,13 +222,10 @@ class CellularFiberBundle(VarietyExpr):
     fiber_cells: tuple[int, ...]
 
     def attributes(self, base):
-        cells = self.fiber_cells
-        _require(len(cells) >= 1, "a bundle needs at least one fiber cell")
-        _require(all(c >= 0 for c in cells), "fiber cell dimensions must be nonnegative")
-        profile = _pairwise_sums(base.cell_profile, cells)
-        return VarietyAttributes(
-            base.dim + max(cells), base.proper, base.coefficients, profile, False
-        )
+        fiber = cell_counts(self.fiber_cells)
+        betti = None if base.betti is None else convolve(base.betti, fiber)
+        dim = base.dim + len(fiber) - 1
+        return VarietyAttributes(dim, base.proper, base.coefficients, betti, False)
 
 
 @dataclass(frozen=True)
@@ -249,13 +247,12 @@ class Decomposition(VarietyExpr):
         shifts = [fixed.shift for fixed in self.components]
         _require(min(shifts) >= 0, "component shifts must be nonnegative")
         _require(all(a.proper for a in parts), "decomposition components must be projective")
-        profile = None
-        if all(a.cell_profile is not None for a in parts):
-            profile = tuple(
-                c + s for a, s in zip(parts, shifts) for c in a.cell_profile
-            )
         dim = max(a.dim + s for a, s in zip(parts, shifts))
-        return VarietyAttributes(dim, True, _common_ring(parts), profile, False)
+        betti = None
+        if all(a.betti is not None for a in parts):
+            shifted = [(0,) * s + a.betti for a, s in zip(parts, shifts)]
+            betti = tuple(map(sum, zip_longest(*shifted, fillvalue=0)))
+        return VarietyAttributes(dim, True, _common_ring(parts), betti, False)
 
 
 @_node("sp", "expr", "nat")
@@ -266,7 +263,7 @@ class SymmetricProduct(VarietyExpr):
     def attributes(self, inner):
         _require(self.d >= 1, "a symmetric product requires d >= 1")
         _require(
-            inner.cell_profile is not None,
+            inner.betti is not None,
             "a symmetric product requires an inner expression with a cell profile",
         )
         return VarietyAttributes(self.d * inner.dim, inner.proper, Q, None, False)
@@ -274,8 +271,9 @@ class SymmetricProduct(VarietyExpr):
 
 @_node("hilb", "nat", "nat")
 class HilbertScheme(VarietyExpr):
-    """Hilbert scheme of d points on a simply connected surface with
-    middle Betti number b2."""
+    """Hilbert scheme of d points on a surface with middle Betti number b2,
+    a C*-action and isolated fixed points, such as a toric surface with
+    b2 + 2 rays."""
 
     b2: int
     d: int
@@ -288,23 +286,22 @@ class HilbertScheme(VarietyExpr):
 
 @dataclass(frozen=True)
 class VarietyAttributes:
-    """Facts validate() derives: dimension, properness, coefficient tag,
-    the cell profile when one is licensed, and the toric flag."""
+    """Facts validate() derives: dimension, properness, coefficient tag, the
+    toric flag, and ``betti`` = (b_0, ..., b_dim), where b_m counts the
+    m-cells, or None when no cell decomposition is licensed.  ``cell_profile``
+    is the sorted multiset of cell dimensions, derived from ``betti`` on read."""
 
     dim: int
     proper: bool
     coefficients: Coefficients
-    cell_profile: Optional[tuple[int, ...]] = None
+    betti: Optional[tuple[int, ...]] = None
     toric: bool = False
 
-    def __post_init__(self) -> None:
-        if self.cell_profile is not None:
-            profile = tuple(sorted(self.cell_profile))
-            if not profile:
-                raise ValueError("a cell profile must be nonempty")
-            if profile[-1] > self.dim:
-                raise ValueError("cell dimensions cannot exceed the variety dimension")
-            object.__setattr__(self, "cell_profile", profile)
+    @property
+    def cell_profile(self) -> Optional[tuple[int, ...]]:
+        if self.betti is None:
+            return None
+        return tuple(m for m, b in enumerate(self.betti) for _ in range(b))
 
 
 def check_cone_counts(cone_counts) -> tuple[int, ...]:
@@ -339,11 +336,25 @@ def smooth_toric_betti(cone_counts) -> list[int]:
     return betti
 
 
-def _pairwise_sums(left, right) -> Optional[tuple[int, ...]]:
-    # The cell profile of a product, when both factors have one.
-    if left is None or right is None:
-        return None
-    return tuple(a + b for a in left for b in right)
+def cell_counts(cells) -> tuple[int, ...]:
+    """(b_0, ..., b_max), where b_m counts the m-cells, once the cell list
+    passes the checks every one meets: nonempty and nonnegative."""
+    cells = tuple(cells)
+    _require(len(cells) >= 1, "a cell list must be nonempty")
+    _require(min(cells) >= 0, "cell dimensions must be nonnegative")
+    counts = [0] * (max(cells) + 1)
+    for c in cells:
+        counts[c] += 1
+    return tuple(counts)
+
+
+def convolve(a, b) -> tuple[int, ...]:
+    """Cauchy product of two count vectors: the Betti numbers of a product."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
 
 
 def _common_ring(parts) -> Coefficients:
@@ -373,20 +384,30 @@ def validate(expr: VarietyExpr, record: Optional[dict] = None) -> VarietyAttribu
 
     Dimension, properness, and the coefficient tag are computed recursively;
     the coefficient tag is rational exactly when the expression contains a
-    symmetric product or a simplicial toric description.  The cell profile is
-    the multiset of cell dimensions when the constructions license one, and
-    the toric flag marks expressions entirely built from torus-invariant
+    symmetric product or a simplicial toric description.  The Betti count
+    vector is present when the constructions license a cell decomposition,
+    and the toric flag marks expressions entirely built from torus-invariant
     atoms and products.  When ``record`` is a dict, it also receives the
-    attributes of every node, keyed by ``id(node)``.
+    attributes of every node, keyed by ``id(node)``; each distinct node is
+    visited once.  Constructors with subexpressions may nest at most
+    :data:`MAX_DEPTH` deep, counted as the parser counts them.
     """
+    record = {} if record is None else record
+    heights: dict[int, int] = {}  # nesting constructors on the longest path down
+    too_deep = f"constructors nest deeper than the bound {MAX_DEPTH}"
 
-    def walk(node: VarietyExpr) -> VarietyAttributes:
-        attributes = node.attributes(*map(walk, _children(node)))
-        if record is not None:
-            record[id(node)] = attributes
-        return attributes
+    def walk(node: VarietyExpr, depth: int) -> VarietyAttributes:
+        key = id(node)
+        if key in heights:
+            _require(depth + heights[key] <= MAX_DEPTH, too_deep)
+            return record[key]
+        children = _children(node)
+        _require(not children or depth < MAX_DEPTH, too_deep)
+        record[key] = node.attributes(*[walk(child, depth + 1) for child in children])
+        heights[key] = max((heights[id(child)] for child in children), default=-1) + 1
+        return record[key]
 
-    return walk(expr)
+    return walk(expr, 0)
 
 
 def render(expr: VarietyExpr) -> str:

@@ -1,11 +1,14 @@
 import hashlib
 import json
+import math
 import random
+import sys
 
 import pytest
 
 from astgen import random_expr
-from lawson import render
+from lawson import CheckResult, render
+from lawson import engine
 from lawson.cli import main, run
 
 
@@ -239,6 +242,43 @@ class TestCheck:
     def test_unknown_suite_exits_1(self, capsys):
         code, _, err = invoke(capsys, "check", "--suite", "spectra")
         assert code == 1 and "usage error" in err
+
+    def test_failed_property_exits_4(self, capsys, monkeypatch):
+        failing = [CheckResult("stub property", "one instance", False)]
+        monkeypatch.setitem(engine._SUITE_RUNNERS, "torus", lambda: failing)
+        code, out, _ = invoke(capsys, "check", "--suite", "torus")
+        assert code == 4
+        assert out == "[FAIL] stub property (one instance)\n"
+
+
+def _digits(n: int) -> str:
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+class TestBigAnswers:
+    # One rank of C(14999, 7500), about 4,500 digits: past the interpreter's
+    # default int-to-string limit.
+    TEXT = "sp(cellular([" + ",".join("0" * 7500) + "]),7500)"
+    RANK = _digits(math.comb(14999, 7500))
+
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    def test_eval_prints_every_digit(self, capsys, fmt):
+        code, out, _ = invoke(capsys, "eval", self.TEXT, "--format", fmt)
+        assert code == 0
+        assert self.RANK in out
+
+    def test_chi_prints_every_digit(self, capsys):
+        assert invoke(capsys, "chi", "--all", self.TEXT) == (0, f"p=0:{self.RANK}\n", "")
+
+    def test_the_digit_limit_is_restored(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        invoke(capsys, "chi", "--all", self.TEXT)
+        assert sys.get_int_max_str_digits() == limit
 
 
 class TestUsage:

@@ -431,13 +431,13 @@ class TestSinglePass:
 
     def test_attributes_are_derived_once_per_node(self, monkeypatch):
         built = []
-        post_init = VarietyAttributes.__post_init__
+        init = VarietyAttributes.__init__
 
-        def counting(self):
+        def counting(self, *args, **kwargs):
             built.append(self)
-            post_init(self)
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(VarietyAttributes, "__post_init__", counting)
+        monkeypatch.setattr(VarietyAttributes, "__init__", counting)
         result = evaluate(parse("susp(" * 150 + "pt" + ")" * 150))
         assert result.table.dim == 150
         assert len(built) <= 151

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from lawson import (
@@ -19,10 +21,12 @@ from lawson import (
     Toric,
     Torus,
     ValidationError,
+    parse,
     render,
     smooth_toric_betti,
     validate,
 )
+from lawson.dsl import MAX_DEPTH, ParseError
 
 Z = Coefficients.INTEGER
 Q = Coefficients.RATIONAL
@@ -208,6 +212,41 @@ class TestValidateConstructors:
         attrs = validate(Cellular((2, 0, 1, 1)))
         assert attrs.cell_profile == (0, 1, 1, 2)
         assert attrs.dim == 2
+
+
+def _suspended(expr, times):
+    for _ in range(times):
+        expr = Suspension(expr)
+    return expr
+
+
+class TestValidateWalk:
+    def test_betti_counts_cells_and_cell_profile_expands_them(self):
+        attrs = validate(CellularFiberBundle(Cellular((0, 2, 2)), (0, 1)))
+        assert attrs.betti == (1, 1, 2, 2)
+        assert attrs.cell_profile == (0, 1, 2, 2, 3, 3)
+
+    def test_deep_python_tree_is_a_validation_error(self):
+        assert validate(_suspended(Point(), MAX_DEPTH)).dim == MAX_DEPTH
+        with pytest.raises(ValidationError, match=f"bound {MAX_DEPTH}"):
+            validate(_suspended(Point(), 1000))
+
+    def test_depth_through_a_shared_node_counts_its_longest_path(self):
+        # x is met first at depth 1, then again under 60 more suspensions.
+        x = _suspended(Point(), 150)
+        expr = Product(x, _suspended(x, 60))
+        with pytest.raises(ValidationError, match=f"bound {MAX_DEPTH}"):
+            validate(expr)
+        with pytest.raises(ParseError):
+            parse(render(expr))
+
+    def test_shared_subtrees_are_validated_once(self):
+        x = Point()
+        for _ in range(30):
+            x = Product(x, x)
+        start = time.perf_counter()
+        assert validate(x).dim == 0
+        assert time.perf_counter() - start < 0.05
 
 
 class TestRender:
