@@ -26,7 +26,7 @@ from .engine import (
     higher_chow,
     run_checks,
 )
-from .series import cheah_series, macdonald_series
+from .series import cheah_rows, macdonald_rows
 from .varieties import cell_counts
 
 
@@ -166,17 +166,14 @@ def _parse_cells(text: str) -> tuple[int, ...]:
     return tuple(int(piece) for piece in parts)
 
 
-def _emit_series_rows(series) -> None:
-    for d in range(series.max_t + 1):
-        row = " ".join(str(v) for v in series.t_row(d))
-        print(f"d={d}: {row}")
-
-
 def _cmd_series(ns) -> int:
     if ns.series_kind == "hilb":
-        _emit_series_rows(cheah_series(ns.b2, ns.d))
-        return 0
-    _emit_series_rows(macdonald_series(cell_counts(_parse_cells(ns.cells)), ns.d))
+        grid = cheah_rows(ns.b2, ns.d)
+    else:
+        grid = macdonald_rows(cell_counts(_parse_cells(ns.cells)), ns.d)
+    for d, row in enumerate(grid):
+        # The grid holds the even z-exponents; the odd ones are zero.
+        print(f"d={d}: " + " 0 ".join(map(str, row)))
     return 0
 
 

@@ -131,13 +131,14 @@ class _Parser:
         token = self.peek()
         if token.kind != "number":
             raise ParseError("expected a number", token.span, ("number",))
-        value = int(token.text)
-        if value > MAX_LITERAL:
+        # Judged on the text, so that no literal reaches int()'s digit limit.
+        digits = "".join(str(int(ch)) for ch in token.text).lstrip("0") or "0"
+        if len(digits) > len(str(MAX_LITERAL)) or int(digits) > MAX_LITERAL:
             raise ParseError(
-                f"literal {value} exceeds the sanity bound {MAX_LITERAL}", token.span
+                f"literal {digits} exceeds the sanity bound {MAX_LITERAL}", token.span
             )
         self.advance()
-        return value
+        return int(digits)
 
     def natlist(self) -> tuple[int, ...]:
         self.expect("[")

@@ -45,7 +45,7 @@ from .grading import (
     rank_at,
     shift_and_sum,
 )
-from .series import cheah_series, macdonald_series
+from .series import cheah_rows, cheah_series, macdonald_rows
 from .varieties import (
     AffineSpace,
     Cellular,
@@ -214,8 +214,7 @@ def hilb_table(b2: int, d: int) -> BiGradedTable:
         raise ValueError("the Hilbert scheme requires d >= 1")
     if b2 < 0:
         raise ValueError("the middle Betti number must be nonnegative")
-    series = cheah_series(b2, d)
-    return _constant_columns(series.t_row(d), True, Coefficients.INTEGER)
+    return _constant_columns(_even_degrees(cheah_rows(b2, d)[d]), True, Coefficients.INTEGER)
 
 
 def sp_table(
@@ -227,8 +226,8 @@ def sp_table(
 
 
 def _symmetric_power(betti: Sequence[int], d: int, proper: bool) -> BiGradedTable:
-    series = macdonald_series(betti, d)
-    return _constant_columns(series.t_row(d), proper, Coefficients.RATIONAL)
+    column = _even_degrees(macdonald_rows(betti, d)[d])
+    return _constant_columns(column, proper, Coefficients.RATIONAL)
 
 
 # ---------------------------------------------------------------------------

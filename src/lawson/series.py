@@ -2,16 +2,21 @@
 
 Two generating functions drive the non-recursive table constructors: the
 Cheah product for punctual Hilbert schemes of surfaces, and the MacDonald
-product for symmetric powers of cellular varieties.  Both live in Z[[z, t]]
-and are only ever needed inside a finite truncation box, so a series here is
-a sparse dict of exact integer coefficients keyed by (z_exponent,
-t_exponent), together with the box bounds.  Coefficients outside the box are
-unknown, not zero, and querying them is an error.
+product for symmetric powers of cellular varieties.  Both live in Z[[z, t]],
+are only ever needed inside a finite truncation box, and have only even
+z-exponents.  They are expanded on a dense grid: a list of t-rows of exact
+integers indexed by z/2, multiplied in place by one geometric factor at a
+time (:func:`geometric_product`).  :class:`TruncatedBiSeries` wraps such a
+grid for callers that want single coefficients; coefficients outside its box
+are unknown, not zero, and querying them is an error.  :func:`series_mul`
+and :func:`geometric_factor` are the generic second route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import add, mul
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -92,6 +97,59 @@ def geometric_factor(
     return TruncatedBiSeries(max_z, max_t, coefficients)
 
 
+def geometric_product(
+    factors: Sequence[tuple[int, int, int]], half_width: int, max_t: int
+) -> list[list[int]]:
+    """t-rows 0..max_t of prod (1 - z^(2a) t^b)^(-m) over (a, b, m) in
+    ``factors`` (b >= 1), each row the coefficients of z^0, z^2, ... up to
+    z^(2*half_width - 2)."""
+    grid = [[0] * half_width for _ in range(max_t + 1)]
+    grid[0][0] = 1
+    for a, b, m in factors:
+        sources = [s for s in range(max_t - b + 1) if any(grid[s])]
+        if m * (max_t - b + 1) <= sum((max_t - s) // b for s in sources):
+            # m passes; ascending t makes each one multiply by 1/(1 - z^2a t^b).
+            for _ in range(m):
+                for t in range(b, max_t + 1):
+                    grid[t][a:] = map(add, grid[t][a:], grid[t - b][: half_width - a])
+            continue
+        # Fewer row updates as one scatter from each nonzero row s to rows
+        # s + jb with weight C(m-1+j, j); descending s reads every source
+        # before any other source adds to it.
+        weights = [1]
+        for j in range(1, max_t // b + 1):
+            weights.append(weights[-1] * (m - 1 + j) // j)
+        for s in reversed(sources):
+            source = grid[s]
+            for j in range(1, (max_t - s) // b + 1):
+                shift = j * a
+                if shift >= half_width:
+                    break
+                row, scaled = grid[s + j * b], map(mul, source, repeat(weights[j]))
+                row[shift:] = map(add, row[shift:], scaled)
+    return grid
+
+
+def _as_series(grid: list[list[int]]) -> TruncatedBiSeries:
+    return TruncatedBiSeries(
+        2 * len(grid[0]) - 2,
+        len(grid) - 1,
+        {(2 * i, t): v for t, row in enumerate(grid) for i, v in enumerate(row) if v},
+    )
+
+
+def cheah_rows(b2: int, max_d: int) -> list[list[int]]:
+    """The grid of :func:`cheah_series`."""
+    if b2 < 0:
+        raise ValueError("the middle Betti number must be nonnegative")
+    if max_d < 1:
+        raise ValueError("the truncation order must be at least 1")
+    factors = [
+        (a, k, m) for k in range(1, max_d + 1) for a, m in ((k - 1, 1), (k, b2), (k + 1, 1))
+    ]
+    return geometric_product(factors, 2 * max_d + 1, max_d)
+
+
 def cheah_series(b2: int, max_d: int) -> TruncatedBiSeries:
     """Cheah's Hilbert-scheme product for a surface with middle Betti number b2.
 
@@ -100,18 +158,22 @@ def cheah_series(b2: int, max_d: int) -> TruncatedBiSeries:
     Factors with index k > max_d contribute nothing below t^(max_d + 1),
     so the product is finite.
     """
-    if b2 < 0:
-        raise ValueError("the middle Betti number must be nonnegative")
+    return _as_series(cheah_rows(b2, max_d))
+
+
+def macdonald_rows(even_betti: Sequence[int], max_d: int) -> list[list[int]]:
+    """The grid of :func:`macdonald_series`."""
+    betti = list(even_betti)
+    if not betti:
+        raise ValueError("the Betti list must be nonempty")
+    if any(b < 0 for b in betti):
+        raise ValueError("Betti numbers must be nonnegative")
+    if not any(betti):
+        raise ValueError("at least one Betti number must be positive")
     if max_d < 1:
         raise ValueError("the truncation order must be at least 1")
-    max_z = 4 * max_d
-    result = one(max_z, max_d)
-    for k in range(1, max_d + 1):
-        for z_exp, multiplicity in ((2 * k - 2, 1), (2 * k, b2), (2 * k + 2, 1)):
-            if multiplicity:
-                factor = geometric_factor(z_exp, k, multiplicity, max_z, max_d)
-                result = series_mul(result, factor)
-    return result
+    factors = [(i, 1, m) for i, m in enumerate(betti)]
+    return geometric_product(factors, max_d * (len(betti) - 1) + 1, max_d)
 
 
 def macdonald_series(even_betti: Sequence[int], max_d: int) -> TruncatedBiSeries:
@@ -122,19 +184,4 @@ def macdonald_series(even_betti: Sequence[int], max_d: int) -> TruncatedBiSeries
     b_0 may be zero, since every factor has t-exponent 1 and the product
     still truncates.  The box is max_z = 2*max_d*n, max_t = max_d.
     """
-    betti = list(even_betti)
-    if not betti:
-        raise ValueError("the Betti list must be nonempty")
-    if any(b < 0 for b in betti):
-        raise ValueError("Betti numbers must be nonnegative")
-    if not any(betti):
-        raise ValueError("at least one Betti number must be positive")
-    if max_d < 1:
-        raise ValueError("the truncation order must be at least 1")
-    max_z = 2 * max_d * (len(betti) - 1)
-    result = one(max_z, max_d)
-    for i, multiplicity in enumerate(betti):
-        if multiplicity:
-            factor = geometric_factor(2 * i, 1, multiplicity, max_z, max_d)
-            result = series_mul(result, factor)
-    return result
+    return _as_series(macdonald_rows(even_betti, max_d))

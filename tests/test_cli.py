@@ -337,3 +337,23 @@ def test_corpus_bytes_are_pinned(capsys):
         code, out, _ = invoke(capsys, *argv)
         digest.update(repr((argv, code, out)).encode())
     assert digest.hexdigest() == CORPUS_DIGEST
+
+
+# The same lock on the raw generating-function rows of `series`, including
+# d = 0 rejections and a cell list without a 0-cell.
+SERIES_COMMANDS = tuple(
+    ("series", "hilb", "--b2", str(b2), "--d", str(d)) for b2 in range(5) for d in range(7)
+) + tuple(
+    ("series", "sp", "--cells", cells, "--d", str(d))
+    for cells in ("0", "0,1", "0,1,1,2", "1,2", "0,0,2,3,3", "4,4,4")
+    for d in range(5)
+)
+SERIES_DIGEST = "1e59b75cef8a3a95c3fc5b93a6f0dd083817bc00b259aa2429da3e8000ca1bb4"
+
+
+def test_series_bytes_are_pinned(capsys):
+    digest = hashlib.sha256()
+    for argv in SERIES_COMMANDS:
+        code, out, _ = invoke(capsys, *argv)
+        digest.update(repr((argv, code, out)).encode())
+    assert digest.hexdigest() == SERIES_DIGEST

@@ -116,6 +116,12 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="sanity bound"):
             parse("P(1000001)")
 
+    def test_literals_past_the_int_digit_limit(self):
+        # Longer than the 4,300 digits int() converts by default.
+        with pytest.raises(ParseError, match="sanity bound"):
+            parse("P(" + "9" * 5000 + ")")
+        assert parse("P(" + "0" * 4400 + "5)") == ProjectiveSpace(5)
+
     def test_bad_flag(self):
         with pytest.raises(ParseError) as exc:
             parse("toric([1,3,3],curvy)")

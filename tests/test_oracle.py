@@ -1,9 +1,11 @@
-"""Validated attributes against an independent oracle.
+"""Validated attributes and series rows against an independent oracle.
 
 ``bench/queries.py`` derives dimension, properness, coefficient tag, Betti
 count vector and toric flag with its own arithmetic and never imports
 lawson.  A small converter maps lawson expressions to its tuples, so random
 trees can be checked against it: both sides agree, or both reject.
+``bench/reference.py`` expands the Cheah product and counts cell multisets
+on its own dense grids; the ``hilb`` and ``sp`` tables must read the same.
 """
 
 import dataclasses
@@ -14,6 +16,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from astgen import random_expr
 from lawson import (
@@ -26,16 +29,28 @@ from lawson import (
     SymmetricProduct,
     Toric,
     ValidationError,
+    hilb_table,
     parse,
+    sp_table,
     validate,
 )
 from lawson.cli import run
 
-_PATH = Path(__file__).resolve().parents[1] / "bench" / "queries.py"
-_SPEC = importlib.util.spec_from_file_location("bench_queries", _PATH)
-queries = importlib.util.module_from_spec(_SPEC)
-sys.modules[_SPEC.name] = queries
-_SPEC.loader.exec_module(queries)
+_BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load(name: str):
+    # Under its own name, since the bench modules import each other so.
+    spec = importlib.util.spec_from_file_location(name, _BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+queries = _load("queries")
+_load("answers")
+reference = _load("reference")
 
 
 def to_tuple(e) -> tuple:
@@ -108,3 +123,40 @@ def test_prod_doubling_answers_chi(capsys):
 def test_bundle_chain_evaluates(capsys):
     assert run(["eval", BUNDLE_CHAIN]) == 0
     assert "dim: 60\n" in capsys.readouterr().out
+
+
+def constant_columns(column) -> tuple:
+    # Rows of a table whose degree-k rank is column[k] on every row r <= k/2.
+    column = tuple(column)
+    return tuple(column[2 * r :] for r in range((len(column) - 1) // 2 + 1))
+
+
+@pytest.mark.parametrize("b2", range(25))
+def test_hilb_rows_match_the_reference_grid(b2):
+    for d in range(1, 13):
+        assert hilb_table(b2, d).rows == constant_columns(reference.cheah_grid(b2, d)[d])
+
+
+@pytest.mark.parametrize("b2", [0, 1, 24])
+def test_hilb_rows_match_the_reference_grid_at_forty_points(b2):
+    assert hilb_table(b2, 40).rows == constant_columns(reference.cheah_grid(b2, 40)[40])
+
+
+def even_degrees(counts) -> list:
+    column = [0] * (2 * len(counts) - 1)
+    column[::2] = counts
+    return column
+
+
+# Betti count vectors b_0..b_n with b_n > 0, so that n is the top cell dimension.
+betti_lists = st.tuples(
+    st.lists(st.integers(0, 4), max_size=4), st.integers(1, 4)
+).map(lambda pair: pair[0] + [pair[1]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(betti_lists, st.integers(1, 6))
+def test_sp_rows_match_the_reference_multiset_counts(betti, d):
+    cells = [m for m, many in enumerate(betti) for _ in range(many)]
+    expected = even_degrees(reference.multiset_counts(betti, d)[d])
+    assert sp_table(cells, d).rows == constant_columns(expected)

@@ -1,5 +1,8 @@
+import math
+import time
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lawson import (
     TruncatedBiSeries,
@@ -9,6 +12,7 @@ from lawson import (
     one,
     series_mul,
 )
+from lawson.series import geometric_product
 
 
 class TestTruncatedBiSeries:
@@ -187,3 +191,31 @@ class TestMacdonaldSeries:
             macdonald_series([1, -1], 2)
         with pytest.raises(ValueError):
             macdonald_series([1, 1], 0)
+
+
+class TestGeometricProduct:
+    # Factors (a, b, m) of (1 - z^(2a) t^b)^(-m): multiplicities up to 12 make
+    # the kernel take both its pass form and its scatter form.
+    factors = st.lists(
+        st.tuples(st.integers(0, 4), st.integers(1, 4), st.integers(0, 12)), max_size=5
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(factors, st.integers(1, 6), st.integers(0, 7))
+    def test_matches_the_product_of_geometric_factors(self, factors, half_width, max_t):
+        max_z = 2 * half_width - 2
+        expected = one(max_z, max_t)
+        for a, b, m in factors:
+            expected = series_mul(expected, geometric_factor(2 * a, b, m, max_z, max_t))
+        grid = geometric_product(factors, half_width, max_t)
+        assert [expected.t_row(t)[::2] for t in range(max_t + 1)] == [
+            tuple(row) for row in grid
+        ]
+
+    def test_a_large_multiplicity_on_a_sparse_grid_is_one_scatter(self):
+        # 7,500 passes over 7,500 rows take about a minute; the scatter from
+        # the one nonzero row is linear in d.
+        start = time.perf_counter()
+        series = macdonald_series([7500], 7500)
+        assert time.perf_counter() - start < 2
+        assert series.coefficient(0, 7500) == math.comb(14999, 7500)
