@@ -17,15 +17,9 @@ import json
 import sys
 from typing import Optional, Sequence
 
+from .checks import CHECK_SUITES, run_checks
 from .dsl import ParseError, parse
-from .engine import (
-    CHECK_SUITES,
-    UnsupportedQueryError,
-    euler_profile,
-    evaluate,
-    higher_chow,
-    run_checks,
-)
+from .engine import UnsupportedQueryError, euler_profile, evaluate, higher_chow
 from .series import cheah_rows, macdonald_rows
 from .varieties import cell_counts
 
@@ -80,12 +74,17 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
+def _kept_rows(table, max_r: Optional[int]):
+    # Rows 0..max_r, clamped: a negative slice end would keep rows.
+    return table.rows if max_r is None else table.rows[: max(max_r + 1, 0)]
+
+
 def _entries(table, max_r: Optional[int]):
-    # ``ranks`` iterates in (r, k) order already.
-    entries = table.ranks.items()
-    if max_r is not None:
-        entries = [((r, k), v) for (r, k), v in entries if r <= max_r]
-    return entries
+    # The nonzero entries of the kept rows, in (r, k) order.
+    for r, row in enumerate(_kept_rows(table, max_r)):
+        for k, value in enumerate(row, 2 * r):
+            if value:
+                yield (r, k), value
 
 
 def _emit_json(result, max_r: Optional[int]) -> None:
@@ -114,7 +113,6 @@ def _emit_plain(result, max_r: Optional[int]) -> None:
     print(f"dim: {table.dim}")
     print(f"proper: {'true' if table.proper else 'false'}")
     print(f"coefficients: {table.coefficients.value}")
-    top_r = table.dim if max_r is None else min(max_r, table.dim)
     width = max(len(str(v)) for row in table.rows for v in row)
     width = max(width, len(str(2 * table.dim)))
     header = "r\\k".rjust(5) + " |" + "".join(
@@ -123,8 +121,8 @@ def _emit_plain(result, max_r: Optional[int]) -> None:
     print(header)
     print("-" * len(header))
     blank = " " * (width + 1)  # below the defined range
-    for r in range(top_r + 1):
-        cells = "".join((str(v) if v else ".").rjust(width + 1) for v in table.rows[r])
+    for r, row in enumerate(_kept_rows(table, max_r)):
+        cells = "".join((str(v) if v else ".").rjust(width + 1) for v in row)
         print(str(r).rjust(5) + " |" + blank * (2 * r) + cells)
 
 
@@ -179,13 +177,10 @@ def _cmd_series(ns) -> int:
 
 def _cmd_check(ns) -> int:
     results = run_checks(ns.suite)
-    failed = False
     for result in results:
         status = "PASS" if result.passed else "FAIL"
-        if not result.passed:
-            failed = True
         print(f"[{status}] {result.name} ({result.instances})")
-    return 4 if failed else 0
+    return 0 if all(result.passed for result in results) else 4
 
 
 _HANDLERS = {

@@ -18,22 +18,22 @@ implements the corresponding structure theorem:
 The table rule of each node class is its entry in ``_BUILD``; the classes
 themselves, with their syntax and attribute rules, live in
 :mod:`lawson.varieties`.  :func:`evaluate` validates the whole tree once and
-then builds the tables in one walk over the recorded attributes.
+then builds the tables in one walk over the recorded attributes, building a
+subtree that several parents share at most twice.  Euler profiles and higher
+Chow ranks are read off the same tables, or off the cone counts.
 
 The split quadric deliberately has two independent routes: a closed form
 here, and its fixed-component decomposition into two projective spaces.
-``run_checks`` replays those dual routes (and the other cross-checks) as a
-built-in oracle suite.
+:mod:`lawson.checks` replays those dual routes (and the other cross-checks)
+as the built-in oracle suites.
 """
 
 from __future__ import annotations
 
-import itertools
-import random
-from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from operator import add
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .grading import (
     BiGradedTable,
@@ -41,11 +41,10 @@ from .grading import (
     Coefficients,
     binomial,
     chi_profile,
-    euler_chi,
     rank_at,
     shift_and_sum,
 )
-from .series import cheah_rows, cheah_series, macdonald_rows
+from .series import cheah_rows, macdonald_rows
 from .varieties import (
     AffineSpace,
     Cellular,
@@ -67,7 +66,6 @@ from .varieties import (
     VarietyExpr,
     cell_counts,
     check_cone_counts,
-    convolve,
     render,
     smooth_toric_betti,
     validate,
@@ -80,9 +78,10 @@ class UnsupportedQueryError(ValueError):
 
 @dataclass(frozen=True)
 class EvaluationResult:
-    """A fully evaluated expression: canonical text, attributes, and table."""
+    """A fully evaluated expression: the expression, its attributes, and its
+    table.  ``expr_text``, the canonical text, is rendered on first use."""
 
-    expr_text: str
+    expr: VarietyExpr
     attributes: VarietyAttributes
     table: BiGradedTable
 
@@ -92,6 +91,10 @@ class EvaluationResult:
             raise ValueError(
                 "evaluation produced a table inconsistent with the validated attributes"
             )
+
+    @cached_property
+    def expr_text(self) -> str:
+        return render(self.expr)
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +254,20 @@ def evaluate(expr: VarietyExpr) -> EvaluationResult:
     def attrs(node: VarietyExpr) -> VarietyAttributes:
         return recorded[id(node)]
 
-    def build(node: VarietyExpr) -> BiGradedTable:
-        return _BUILD[type(node)](node, attrs, build)
+    # Tables are immutable, so a subtree that parents share is kept from its
+    # second build on; None marks a node built once.  Keeping every table
+    # would hold a whole tower at once.
+    tables: dict[int, Optional[BiGradedTable]] = {}
 
-    return EvaluationResult(render(expr), attributes, build(expr))
+    def build(node: VarietyExpr) -> BiGradedTable:
+        key = id(node)
+        table = tables.get(key)
+        if table is None:
+            table = _BUILD[type(node)](node, attrs, build)
+            tables[key] = table if key in tables else None
+        return table
+
+    return EvaluationResult(expr, attributes, build(expr))
 
 
 def _integral(table: BiGradedTable, message: str) -> BiGradedTable:
@@ -366,344 +379,3 @@ def higher_chow(expr: VarietyExpr, r: int, m: int) -> int:
         )
     return rank_at(evaluate(expr).table, r, 2 * r + m)
 
-
-# ---------------------------------------------------------------------------
-# built-in check suites
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """Outcome of one oracle property over its stated instance range."""
-
-    name: str
-    instances: str
-    passed: bool
-
-
-CHECK_SUITES = ("all", "torus", "toric", "quadric", "hilb", "sp", "suspension")
-
-_CHECK_SEED = 20210923
-
-# Proper expressions with cell profiles, used by the cross-cutting checks.
-_PROFILED_CORPUS: tuple[VarietyExpr, ...] = (
-    Point(),
-    ProjectiveSpace(2),
-    ProjectiveSpace(4),
-    SplitQuadric(1),
-    Cellular((0, 1, 1, 2)),
-    Suspension(ProjectiveSpace(1)),
-    Product(ProjectiveSpace(1), ProjectiveSpace(2)),
-    CellularFiberBundle(ProjectiveSpace(1), (0, 1)),
-    Decomposition((FixedComponent(ProjectiveSpace(2), 0), FixedComponent(Point(), 3))),
-    Toric((1, 3, 3)),
-)
-
-_SUSPENSION_CORPUS: tuple[VarietyExpr, ...] = (
-    Point(),
-    ProjectiveSpace(1),
-    ProjectiveSpace(2),
-    ProjectiveSpace(3),
-    ProjectiveSpace(4),
-    SplitQuadric(1),
-    Cellular((0, 1, 1, 2)),
-    Toric((1, 4, 4)),
-    HilbertScheme(1, 1),
-)
-
-
-def _torus_table_by_recursion(n: int) -> BiGradedTable:
-    # Independent oracle: iterate the two-term splitting n times from the
-    # point, never consulting the binomial closed form.
-    table = cellular_table((0,))
-    for _ in range(n):
-        table = _cstar_split(table)
-    return table
-
-
-def _pn_cone_counts(n: int) -> tuple[int, ...]:
-    # The fan of P^n has C(n+1, i) cones of dimension i.
-    return tuple(binomial(n + 1, i) for i in range(n + 1))
-
-
-def _random_smooth_cone_counts(rng: random.Random) -> tuple[int, ...]:
-    # Sample from two provably realizable families: products of projective
-    # spaces, and P^2 blown up at fixed points (counts (1, m, m)).
-    if rng.random() < 0.4:
-        m = rng.randint(3, 9)
-        return (1, m, m)
-    counts: tuple[int, ...] = (1,)
-    for _ in range(rng.randint(1, 3)):
-        counts = convolve(counts, _pn_cone_counts(rng.randint(1, 3)))
-    return counts
-
-
-def _cheah_coefficient_by_enumeration(b2: int, k: int, d: int) -> int:
-    # Independent oracle for the Cheah coefficient of z^k t^d: enumerate
-    # exponent tuples over the factors (1 - z^a t^b)^-m with b <= d, the
-    # j-th power of a factor weighing C(m-1+j, j).
-    factors = []
-    for fk in range(1, d + 1):
-        factors.append((2 * fk - 2, fk, 1))
-        if b2:
-            factors.append((2 * fk, fk, b2))
-        factors.append((2 * fk + 2, fk, 1))
-
-    def count(index: int, t_left: int, z_left: int) -> int:
-        if index == len(factors):
-            return 1 if t_left == 0 and z_left == 0 else 0
-        a, b, m = factors[index]
-        total = count(index + 1, t_left, z_left)  # j = 0
-        j = 1
-        while b * j <= t_left and a * j <= z_left:
-            weight = binomial(m - 1 + j, j)
-            total += weight * count(index + 1, t_left - b * j, z_left - a * j)
-            j += 1
-        return total
-
-    return count(0, d, k)
-
-
-def _symmetric_power_dims_by_enumeration(profile: Sequence[int], d: int) -> Counter:
-    # Independent oracle for symmetric-power dimensions: with all classes in
-    # even degree, the degree-k dimension counts size-d multisets of basis
-    # elements whose degrees add up to k.
-    basis = [2 * c for c in profile]
-    dims: Counter = Counter()
-    for combo in itertools.combinations_with_replacement(range(len(basis)), d):
-        dims[sum(basis[i] for i in combo)] += 1
-    return dims
-
-
-def _torus_checks() -> list[CheckResult]:
-    return [
-        CheckResult(
-            "torus closed form matches the iterated splitting",
-            "n=1..8",
-            all(torus_table(n) == _torus_table_by_recursion(n) for n in range(1, 9)),
-        ),
-        CheckResult(
-            "torus chi formula matches its table",
-            "n=1..8, p=0..n",
-            all(
-                chi_torus(n, p) == euler_chi(torus_table(n), p)
-                for n in range(1, 9)
-                for p in range(n + 1)
-            ),
-        ),
-        CheckResult(
-            "torus chi_0 telescopes to zero",
-            "n=1..8",
-            all(chi_torus(n, 0) == 0 for n in range(1, 9)),
-        ),
-    ]
-
-
-def _toric_checks() -> list[CheckResult]:
-    rng = random.Random(_CHECK_SEED)
-    fans = [(1, 3, 3), (1, 4, 4)]
-    fans += [_random_smooth_cone_counts(rng) for _ in range(20)]
-    tables = [toric_smooth_table(counts) for counts in fans]
-    return [
-        CheckResult(
-            "toric chi formula matches the Betti table",
-            "[1,3,3], [1,4,4], and 20 seeded random smooth fans",
-            all(
-                chi_toric(counts, p) == euler_chi(table, p)
-                for counts, table in zip(fans, tables)
-                for p in range(len(counts))
-            ),
-        ),
-        CheckResult(
-            "toric chi_0 equals the top cone count",
-            "same fans",
-            all(chi_toric(counts, 0) == counts[-1] for counts in fans),
-        ),
-    ]
-
-
-def _quadric_checks() -> list[CheckResult]:
-    return [
-        CheckResult(
-            "quadric closed form equals its fixed-component decomposition",
-            "d=1..6",
-            all(
-                quadric_table(d)
-                == decompose(
-                    (
-                        FixedComponent(ProjectiveSpace(d), 0),
-                        FixedComponent(ProjectiveSpace(d), d),
-                    )
-                )
-                for d in range(1, 7)
-            ),
-        ),
-        CheckResult(
-            "singular hypersurface shares the quadric table",
-            "d=1..4, m=2..3",
-            all(
-                evaluate(SingularHypersurface(m, d)).table == quadric_table(d)
-                for d in range(1, 5)
-                for m in (2, 3)
-            ),
-        ),
-    ]
-
-
-def _hilb_checks() -> list[CheckResult]:
-    return [
-        CheckResult(
-            "Cheah coefficients match direct enumeration",
-            "b2=0..2, d=1..3",
-            all(
-                series.coefficient(k, d) == _cheah_coefficient_by_enumeration(b2, k, d)
-                for b2, series in ((b2, cheah_series(b2, 3)) for b2 in range(3))
-                for d in range(1, 4)
-                for k in range(4 * d + 1)
-            ),
-        ),
-        CheckResult(
-            "odd-degree Cheah coefficients vanish",
-            "b2=0..2, d=0..3",
-            all(
-                cheah_series(b2, 3).coefficient(k, d) == 0
-                for b2 in range(3)
-                for d in range(4)
-                for k in range(1, 13, 2)
-            ),
-        ),
-        CheckResult(
-            "one point reproduces the base surface",
-            "b2=0..3",
-            all(
-                hilb_table(b2, 1) == cellular_table((0,) + (1,) * b2 + (2,))
-                for b2 in range(4)
-            ),
-        ),
-    ]
-
-
-def _sp_checks() -> list[CheckResult]:
-    cases = (((0, 1), 2), ((0, 1), 4), ((0, 1, 1, 2), 2), ((0, 1, 2), 3))
-    return [
-        CheckResult(
-            "symmetric powers of the line are projective spaces",
-            "d=1..6",
-            all(
-                sp_table((0, 1), d).ranks == evaluate(ProjectiveSpace(d)).table.ranks
-                for d in range(1, 7)
-            ),
-        ),
-        CheckResult(
-            "symmetric-power dimensions match multiset enumeration",
-            "profiles of dim <= 2, d <= 4",
-            all(
-                rank_at(table, 0, k) == dims.get(k, 0)
-                for table, dims in (
-                    (sp_table(profile, d), _symmetric_power_dims_by_enumeration(profile, d))
-                    for profile, d in cases
-                )
-                for k in range(2 * table.dim + 1)
-            ),
-        ),
-        CheckResult(
-            "symmetric powers of the point stay a point",
-            "d=1..7",
-            all(dict(sp_table((0,), d).ranks) == {(0, 0): 1} for d in range(1, 8)),
-        ),
-    ]
-
-
-def _suspension_checks() -> list[CheckResult]:
-    inner = [evaluate(expr).table for expr in _SUSPENSION_CORPUS]
-    return [
-        CheckResult(
-            "suspension equals the two-component decomposition",
-            "proper corpus up to dimension 4",
-            all(
-                suspend(table)
-                == decompose((FixedComponent(expr, 1), FixedComponent(Point(), 0)))
-                for expr, table in zip(_SUSPENSION_CORPUS, inner)
-            ),
-        ),
-        CheckResult(
-            "degree-one rank of a suspension vanishes",
-            "same corpus",
-            all(rank_at(suspend(table), 0, 1) == 0 for table in inner),
-        ),
-        CheckResult(
-            "suspending the point gives the line",
-            "single instance",
-            suspend(cellular_table((0,))) == evaluate(ProjectiveSpace(1)).table,
-        ),
-    ]
-
-
-def _general_checks() -> list[CheckResult]:
-    profiled = [evaluate(expr) for expr in _PROFILED_CORPUS]
-    aliased: list[VarietyExpr] = [Torus(n) for n in range(1, 5)]
-    aliased += [ProjectiveSpace(n) for n in range(1, 5)]
-    aliased.append(Toric((1, 3, 3)))
-    return [
-        CheckResult(
-            "row zero counts cells (Dold-Thom rows)",
-            "profiled corpus",
-            all(
-                rank_at(result.table, 0, k)
-                == (result.attributes.betti[k // 2] if k % 2 == 0 else 0)
-                for result in profiled
-                for k in range(2 * result.attributes.dim + 1)
-            ),
-        ),
-        CheckResult(
-            "negative cycle dimension falls back to row zero",
-            "r=1..3",
-            all(
-                rank_at(result.table, -r, k) == rank_at(result.table, 0, k)
-                for result in profiled[:4]
-                for r in (1, 2, 3)
-                for k in range(2 * result.attributes.dim + 1)
-            ),
-        ),
-        CheckResult(
-            "cellular tables are constant down each column",
-            "profiled corpus",
-            all(
-                value == rank_at(result.table, 0, k)
-                for result in profiled
-                for (r, k), value in result.table.ranks.items()
-            ),
-        ),
-        CheckResult(
-            "higher Chow ranks alias the table",
-            "torus/P^n for n=1..4 and toric([1,3,3])",
-            all(
-                higher_chow(expr, r, m) == rank_at(table, r, 2 * r + m)
-                for expr, table in ((expr, evaluate(expr).table) for expr in aliased)
-                for r in range(table.dim + 1)
-                for m in range(2 * table.dim + 1)
-            ),
-        ),
-    ]
-
-
-_SUITE_RUNNERS = {
-    "torus": _torus_checks,
-    "toric": _toric_checks,
-    "quadric": _quadric_checks,
-    "hilb": _hilb_checks,
-    "sp": _sp_checks,
-    "suspension": _suspension_checks,
-}
-
-
-def run_checks(suite: str = "all") -> tuple[CheckResult, ...]:
-    """Run one named oracle suite, or all of them plus the cross-cutting
-    properties.  Returns one result per property; the caller decides how to
-    surface failures."""
-    if suite not in CHECK_SUITES:
-        raise ValueError(f"unknown check suite {suite!r}")
-    names = CHECK_SUITES[1:] if suite == "all" else (suite,)
-    results = [result for name in names for result in _SUITE_RUNNERS[name]()]
-    if suite == "all":
-        results += _general_checks()
-    return tuple(results)

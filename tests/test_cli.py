@@ -7,8 +7,7 @@ import sys
 import pytest
 
 from astgen import random_expr
-from lawson import CheckResult, render
-from lawson import engine
+from lawson import checks, render
 from lawson.cli import main, run
 
 
@@ -80,18 +79,19 @@ class TestEval:
         assert code == 0
         assert out.splitlines() == ["r,k,rank", "0,0,1", "0,2,2", "0,4,1"]
         # A negative bound keeps the header and drops every row in all formats.
-        outputs = {}
-        for fmt in ("plain", "json", "csv"):
-            code, outputs[fmt], _ = invoke(
-                capsys, "eval", "quadric(1)", "--format", fmt, "--max-r", "-1"
-            )
-            assert code == 0
-        assert outputs["plain"].splitlines()[4:] == [
-            "  r\\k | 0 1 2 3 4",
-            "-" * len("  r\\k | 0 1 2 3 4"),
-        ]
-        assert json.loads(outputs["json"])["ranks"] == []
-        assert outputs["csv"].splitlines() == ["r,k,rank"]
+        for bound in ("-1", "-2"):
+            outputs = {}
+            for fmt in ("plain", "json", "csv"):
+                code, outputs[fmt], _ = invoke(
+                    capsys, "eval", "quadric(1)", "--format", fmt, "--max-r", bound
+                )
+                assert code == 0
+            assert outputs["plain"].splitlines()[4:] == [
+                "  r\\k | 0 1 2 3 4",
+                "-" * len("  r\\k | 0 1 2 3 4"),
+            ]
+            assert json.loads(outputs["json"])["ranks"] == []
+            assert outputs["csv"].splitlines() == ["r,k,rank"]
 
     def test_non_proper_expression(self, capsys):
         code, out, _ = invoke(capsys, "eval", "torus(1)", "--format", "json")
@@ -244,8 +244,10 @@ class TestCheck:
         assert code == 1 and "usage error" in err
 
     def test_failed_property_exits_4(self, capsys, monkeypatch):
-        failing = [CheckResult("stub property", "one instance", False)]
-        monkeypatch.setitem(engine._SUITE_RUNNERS, "torus", lambda: failing)
+        failing = checks.Identity(
+            "torus", "stub property", "one instance", lambda: [()], lambda: False
+        )
+        monkeypatch.setattr(checks, "IDENTITIES", (failing,))
         code, out, _ = invoke(capsys, "check", "--suite", "torus")
         assert code == 4
         assert out == "[FAIL] stub property (one instance)\n"
@@ -357,3 +359,19 @@ def test_series_bytes_are_pinned(capsys):
         code, out, _ = invoke(capsys, *argv)
         digest.update(repr((argv, code, out)).encode())
     assert digest.hexdigest() == SERIES_DIGEST
+
+
+# The same lock on `lawson check`: the exit code and stdout of every suite.
+CHECK_COMMANDS = tuple(
+    ("check", "--suite", suite)
+    for suite in ("all", "torus", "toric", "quadric", "hilb", "sp", "suspension")
+)
+CHECK_DIGEST = "a04574b5bcae1ee313ebd97eef19f73031f3d7b4b3d84484f307b35023d9c25b"
+
+
+def test_check_bytes_are_pinned(capsys):
+    digest = hashlib.sha256()
+    for argv in CHECK_COMMANDS:
+        code, out, _ = invoke(capsys, *argv)
+        digest.update(repr((argv, code, out)).encode())
+    assert digest.hexdigest() == CHECK_DIGEST

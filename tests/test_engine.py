@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -49,6 +50,7 @@ from lawson import (
     torus_table,
     validate,
 )
+from lawson.checks import IDENTITIES
 
 from astgen import random_expr
 
@@ -392,6 +394,18 @@ class TestEvaluate:
         with pytest.raises(ValidationError):
             evaluate(ProjectiveSpace(0))
 
+    def test_shared_subtrees_build_fast_and_render_lazily(self):
+        x = Point()
+        for _ in range(30):
+            x = Product(x, x)
+        start = time.perf_counter()
+        result = evaluate(x)
+        assert time.perf_counter() - start < 0.05
+        assert result.table == cellular_table((0,))
+        small = Product(Product(Point(), Point()), Point())
+        small = Product(small, small)
+        assert evaluate(small).expr_text == render(small)
+
     def test_random_expressions_evaluate_deterministically(self):
         rng = random.Random(7)
         seen = 0
@@ -538,10 +552,11 @@ class TestHigherChow:
 
 
 class TestRunChecks:
-    def test_all_pass(self):
-        results = run_checks("all")
-        assert len(results) == 20
-        assert all(result.passed for result in results)
+    @pytest.mark.parametrize(
+        "identity", IDENTITIES, ids=[identity.name for identity in IDENTITIES]
+    )
+    def test_all_pass(self, identity):
+        assert identity.result().passed
 
     def test_named_suites(self):
         total = 0
@@ -552,7 +567,7 @@ class TestRunChecks:
             assert all(result.passed for result in results)
             assert all(result.name and result.instances for result in results)
         # "all" adds the cross-cutting properties on top of the named suites.
-        assert len(run_checks("all")) == total + 4
+        assert len(run_checks("all")) == total + 4 == len(IDENTITIES) == 20
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError, match="unknown check suite"):
