@@ -18,7 +18,7 @@ import sys
 from typing import Optional, Sequence
 
 from .checks import CHECK_SUITES, run_checks
-from .dsl import ParseError, parse
+from .dsl import ParseError, literal, parse
 from .engine import UnsupportedQueryError, euler_profile, evaluate, higher_chow
 from .series import cheah_rows, macdonald_rows
 from .varieties import cell_counts
@@ -157,11 +157,11 @@ def _cmd_chow(ns) -> int:
 def _parse_cells(text: str) -> tuple[int, ...]:
     cleaned = text.strip().strip("[]")
     parts = [piece.strip() for piece in cleaned.split(",") if piece.strip()]
-    if not parts or not all(piece.isdigit() for piece in parts):
+    if not parts or not all(piece.isdecimal() for piece in parts):
         raise ValueError(
             "cells must be a comma-separated list of nonnegative integers"
         )
-    return tuple(int(piece) for piece in parts)
+    return tuple(map(literal, parts))
 
 
 def _cmd_series(ns) -> int:

@@ -104,6 +104,15 @@ def _lex(text: str) -> list[_Token]:
     return tokens
 
 
+def literal(text: str) -> int:
+    """The value of a run of decimal digits, judged on the text so that none
+    reaches int()'s digit limit.  Raises ValueError above MAX_LITERAL."""
+    digits = "".join(str(int(ch)) for ch in text).lstrip("0") or "0"
+    if len(digits) > len(str(MAX_LITERAL)) or int(digits) > MAX_LITERAL:
+        raise ValueError(f"literal {digits} exceeds the sanity bound {MAX_LITERAL}")
+    return int(digits)
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
@@ -131,14 +140,11 @@ class _Parser:
         token = self.peek()
         if token.kind != "number":
             raise ParseError("expected a number", token.span, ("number",))
-        # Judged on the text, so that no literal reaches int()'s digit limit.
-        digits = "".join(str(int(ch)) for ch in token.text).lstrip("0") or "0"
-        if len(digits) > len(str(MAX_LITERAL)) or int(digits) > MAX_LITERAL:
-            raise ParseError(
-                f"literal {digits} exceeds the sanity bound {MAX_LITERAL}", token.span
-            )
         self.advance()
-        return int(digits)
+        try:
+            return literal(token.text)
+        except ValueError as exc:
+            raise ParseError(str(exc), token.span) from None
 
     def natlist(self) -> tuple[int, ...]:
         self.expect("[")

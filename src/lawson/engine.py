@@ -18,9 +18,9 @@ implements the corresponding structure theorem:
 The table rule of each node class is its entry in ``_BUILD``; the classes
 themselves, with their syntax and attribute rules, live in
 :mod:`lawson.varieties`.  :func:`evaluate` validates the whole tree once and
-then builds the tables in one walk over the recorded attributes, building a
-subtree that several parents share at most twice.  Euler profiles and higher
-Chow ranks are read off the same tables, or off the cone counts.
+then builds the tables in one walk over the attributes kept on the nodes,
+building a subtree that several parents share at most twice.  Euler profiles
+and higher Chow ranks are read off the same tables, or off the cone counts.
 
 The split quadric deliberately has two independent routes: a closed form
 here, and its fixed-component decomposition into two projective spaces.
@@ -248,23 +248,18 @@ def evaluate(expr: VarietyExpr) -> EvaluationResult:
     decompositions of rational-coefficient expressions are likewise
     unsupported, since those two rules are stated integrally.
     """
-    recorded: dict[int, VarietyAttributes] = {}
-    attributes = validate(expr, recorded)
-
-    def attrs(node: VarietyExpr) -> VarietyAttributes:
-        return recorded[id(node)]
+    attributes = validate(expr)
 
     # Tables are immutable, so a subtree that parents share is kept from its
     # second build on; None marks a node built once.  Keeping every table
     # would hold a whole tower at once.
-    tables: dict[int, Optional[BiGradedTable]] = {}
+    tables: dict[VarietyExpr, Optional[BiGradedTable]] = {}
 
     def build(node: VarietyExpr) -> BiGradedTable:
-        key = id(node)
-        table = tables.get(key)
+        table = tables.get(node)
         if table is None:
-            table = _BUILD[type(node)](node, attrs, build)
-            tables[key] = table if key in tables else None
+            table = _BUILD[type(node)](node, build)
+            tables[node] = table if node in tables else None
         return table
 
     return EvaluationResult(expr, attributes, build(expr))
@@ -276,7 +271,7 @@ def _integral(table: BiGradedTable, message: str) -> BiGradedTable:
     return table
 
 
-def _toric_rule(e: Toric, attrs, build) -> BiGradedTable:
+def _toric_rule(e: Toric, build) -> BiGradedTable:
     if e.smoothness is not Smoothness.SMOOTH:
         raise UnsupportedQueryError(
             "unsupported full-table query: only the chi profile is computable "
@@ -285,47 +280,45 @@ def _toric_rule(e: Toric, attrs, build) -> BiGradedTable:
     return toric_smooth_table(e.cone_counts)
 
 
-def _suspension_rule(e: Suspension, attrs, build) -> BiGradedTable:
+def _suspension_rule(e: Suspension, build) -> BiGradedTable:
     message = "unsupported full-table query: the suspension rule is stated"
     return suspend(_integral(build(e.inner), message + " for integer coefficients"))
 
 
-def _product_rule(e: Product, attrs, build) -> BiGradedTable:
+def _product_rule(e: Product, build) -> BiGradedTable:
     # A bundle over one factor, fibered by the other; validate() ensured one has betti.
-    base, fiber = e.left, attrs(e.right).betti
+    base, fiber = e.left, e.right.validated.betti
     if fiber is None:
-        base, fiber = e.right, attrs(e.left).betti
-    return _bundle(build(base), fiber, attrs(e).proper)
+        base, fiber = e.right, e.left.validated.betti
+    return _bundle(build(base), fiber, e.validated.proper)
 
 
-def _decomposition_rule(e: Decomposition, attrs, build) -> BiGradedTable:
+def _decomposition_rule(e: Decomposition, build) -> BiGradedTable:
     message = "decomposition components must carry integer coefficients"
     summands = [(_integral(build(p.component), message), p.shift) for p in e.components]
-    return shift_and_sum(summands, attrs(e).dim, proper=True)
+    return shift_and_sum(summands, e.validated.dim, proper=True)
 
 
-# One table rule per node class: rule(expr, attrs, build), where attrs(node)
-# gives a node's validated attributes and build(node) its table.  Builders
-# are looked up by name at call time, so wrappers installed on them apply.
+# One table rule per node class: rule(expr, build), where build(node) gives a
+# node's table; node.validated holds its attributes.  Builders are looked up
+# by name at call time, so wrappers installed on them apply.
 _BUILD = {
-    Point: lambda e, attrs, build: cellular_table((0,)),
-    ProjectiveSpace: lambda e, attrs, build: cellular_table(range(e.n + 1)),
-    AffineSpace: lambda e, attrs, build: cellular_table((e.n,), proper=False),
-    Cellular: lambda e, attrs, build: cellular_table(e.cells),
-    Torus: lambda e, attrs, build: torus_table(e.n),
-    SplitQuadric: lambda e, attrs, build: quadric_table(e.d),
-    SingularHypersurface: lambda e, attrs, build: quadric_table(e.d),
+    Point: lambda e, build: cellular_table((0,)),
+    ProjectiveSpace: lambda e, build: cellular_table(range(e.n + 1)),
+    AffineSpace: lambda e, build: cellular_table((e.n,), proper=False),
+    Cellular: lambda e, build: cellular_table(e.cells),
+    Torus: lambda e, build: torus_table(e.n),
+    SplitQuadric: lambda e, build: quadric_table(e.d),
+    SingularHypersurface: lambda e, build: quadric_table(e.d),
     Toric: _toric_rule,
     Suspension: _suspension_rule,
     Product: _product_rule,
-    CellularFiberBundle: lambda e, attrs, build: fiber_bundle_table(
-        build(e.base), e.fiber_cells
-    ),
+    CellularFiberBundle: lambda e, build: fiber_bundle_table(build(e.base), e.fiber_cells),
     Decomposition: _decomposition_rule,
-    SymmetricProduct: lambda e, attrs, build: _symmetric_power(
-        attrs(e.inner).betti, e.d, attrs(e).proper
+    SymmetricProduct: lambda e, build: _symmetric_power(
+        e.inner.validated.betti, e.d, e.validated.proper
     ),
-    HilbertScheme: lambda e, attrs, build: hilb_table(e.b2, e.d),
+    HilbertScheme: lambda e, build: hilb_table(e.b2, e.d),
 }
 
 

@@ -21,6 +21,7 @@ rule of each class lives in ``lawson.engine._BUILD``.
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass, fields
 from itertools import zip_longest
 from typing import ClassVar, Optional
@@ -46,7 +47,23 @@ class Smoothness(enum.Enum):
     GENERAL = "general"
 
 
-class VarietyExpr:
+# Live nodes by class and field values: children by id, others by (type, value).
+_LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+class _Interned(type):
+    def __call__(cls, *args, **kwargs):
+        # Sequences are stored as tuples, so that they can key the live nodes.
+        node, key = super().__call__(*args, **kwargs), [cls]
+        for shape, field, value in _fields(node):
+            if shape in ("natlist", "cells", "comps"):
+                value = tuple(sorted(value) if shape == "cells" else value)
+                object.__setattr__(node, field.name, value)
+            key.append(id(value) if shape == "expr" else (type(value), value))
+        return _LIVE.setdefault(tuple(key), node)
+
+
+class VarietyExpr(metaclass=_Interned):
     """Base class for all variety expressions.
 
     ``syntax`` gives the shape of each dataclass field, in field order:
@@ -54,19 +71,15 @@ class VarietyExpr:
     ``expr`` (a subexpression), ``flag`` (an optional trailing
     :class:`Smoothness`) or ``comps`` (one or more :class:`FixedComponent`).
     ``attributes`` receives the attributes of the node's subexpressions, in
-    order, and derives the node's own.
+    order, and derives the node's own.  Equal nodes are one object, copies and
+    pickles too, and each keeps what :func:`validate` derives for it.
     """
 
-    __slots__ = ()
     keyword: ClassVar[str]
     syntax: ClassVar[tuple[str, ...]]
 
-    def __post_init__(self) -> None:
-        # Sequences are stored as tuples, so equal expressions hash equal.
-        for shape, field, value in _fields(self):
-            if shape in ("natlist", "cells", "comps"):
-                value = sorted(value) if shape == "cells" else value
-                object.__setattr__(self, field.name, tuple(value))
+    def __reduce__(self):
+        return type(self), tuple(value for _, _, value in _fields(self))
 
     def attributes(self, *children: VarietyAttributes) -> VarietyAttributes:
         raise NotImplementedError
@@ -79,7 +92,7 @@ def _node(keyword: str, *syntax: str):
     """Declare a frozen dataclass node with its keyword and field shapes."""
 
     def declare(cls):
-        cls = dataclass(frozen=True)(cls)
+        cls = dataclass(frozen=True, eq=False)(cls)
         cls.keyword, cls.syntax = keyword, syntax
         NODE_TYPES[keyword] = cls
         return cls
@@ -378,7 +391,7 @@ def _children(expr: VarietyExpr) -> list[VarietyExpr]:
     return out
 
 
-def validate(expr: VarietyExpr, record: Optional[dict] = None) -> VarietyAttributes:
+def validate(expr: VarietyExpr) -> VarietyAttributes:
     """Check an expression against the semantic rules and derive its
     attributes, applying each node's attribute rule after its children's.
 
@@ -387,25 +400,22 @@ def validate(expr: VarietyExpr, record: Optional[dict] = None) -> VarietyAttribu
     symmetric product or a simplicial toric description.  The Betti count
     vector is present when the constructions license a cell decomposition,
     and the toric flag marks expressions entirely built from torus-invariant
-    atoms and products.  When ``record`` is a dict, it also receives the
-    attributes of every node, keyed by ``id(node)``; each distinct node is
-    visited once.  Constructors with subexpressions may nest at most
+    atoms and products.  Each node keeps its attributes (``validated``) and
+    its height (the nesting constructors on its longest path down) once they
+    are derived.  Constructors with subexpressions may nest at most
     :data:`MAX_DEPTH` deep, counted as the parser counts them.
     """
-    record = {} if record is None else record
-    heights: dict[int, int] = {}  # nesting constructors on the longest path down
     too_deep = f"constructors nest deeper than the bound {MAX_DEPTH}"
 
     def walk(node: VarietyExpr, depth: int) -> VarietyAttributes:
-        key = id(node)
-        if key in heights:
-            _require(depth + heights[key] <= MAX_DEPTH, too_deep)
-            return record[key]
-        children = _children(node)
-        _require(not children or depth < MAX_DEPTH, too_deep)
-        record[key] = node.attributes(*[walk(child, depth + 1) for child in children])
-        heights[key] = max((heights[id(child)] for child in children), default=-1) + 1
-        return record[key]
+        if getattr(node, "validated", None) is None:
+            children = _children(node)
+            _require(not children or depth < MAX_DEPTH, too_deep)
+            attributes = node.attributes(*[walk(child, depth + 1) for child in children])
+            height = max((child.height for child in children), default=-1) + 1
+            vars(node).update(validated=attributes, height=height)
+        _require(depth + node.height <= MAX_DEPTH, too_deep)
+        return node.validated
 
     return walk(expr, 0)
 

@@ -221,6 +221,19 @@ class TestSeries:
         code, _, err = invoke(capsys, "series", "sp", "--cells", "0,x", "--d", "2")
         assert code == 2 and "cells" in err
 
+    def test_non_decimal_digit_cells_exit_2(self, capsys):
+        # "²" is a digit to str.isdigit but not a decimal, as in the language.
+        code, out, err = invoke(capsys, "series", "sp", "--cells", "²", "--d", "1")
+        message = "cells must be a comma-separated list of nonnegative integers"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_cells_past_the_literal_bound_exit_2(self, capsys):
+        code, out, err = invoke(
+            capsys, "series", "sp", "--cells", "0,100000000000", "--d", "1"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: literal 100000000000 exceeds the sanity bound 1000000\n"
+
     def test_bad_series_arguments_exit_2(self, capsys):
         assert invoke(capsys, "series", "hilb", "--b2", "-1", "--d", "2")[0] == 2
         assert invoke(capsys, "series", "hilb", "--b2", "1", "--d", "0")[0] == 2

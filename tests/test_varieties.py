@@ -1,4 +1,9 @@
+import copy
+import dataclasses
+import gc
+import pickle
 import time
+import weakref
 
 import pytest
 
@@ -21,12 +26,14 @@ from lawson import (
     Toric,
     Torus,
     ValidationError,
+    evaluate,
     parse,
     render,
     smooth_toric_betti,
     validate,
 )
 from lawson.dsl import MAX_DEPTH, ParseError
+from lawson.varieties import _LIVE
 
 Z = Coefficients.INTEGER
 Q = Coefficients.RATIONAL
@@ -276,3 +283,63 @@ class TestRender:
         assert render(expr) == "decomp(P(2):0, pt:3)"
         assert render(SymmetricProduct(ProjectiveSpace(1), 4)) == "sp(P(1),4)"
         assert render(HilbertScheme(1, 2)) == "hilb(1,2)"
+
+
+class TestInterning:
+    def test_equal_nodes_are_one_object(self):
+        assert ProjectiveSpace(3) is ProjectiveSpace(3)
+        assert Cellular([2, 0, 1]) is Cellular((0, 1, 2))
+        assert Toric(cone_counts=[1, 3, 3]) is Toric((1, 3, 3), Smoothness.SMOOTH)
+
+    def test_a_value_of_another_type_is_another_node(self):
+        assert ProjectiveSpace(True) is not ProjectiveSpace(1)
+        assert ProjectiveSpace(1.0) is not ProjectiveSpace(1)
+        assert render(ProjectiveSpace(True)) == "P(True)"
+
+    def test_copies_and_pickles_are_the_node_itself(self):
+        x = Decomposition(
+            (FixedComponent(Suspension(Point()), 1), FixedComponent(Toric((1, 4, 4)), 0))
+        )
+        assert copy.copy(x) is x
+        assert copy.deepcopy(x) is x
+        assert pickle.loads(pickle.dumps(x)) is x
+
+    def test_fields_are_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ProjectiveSpace(2).n = 3
+
+    def test_a_dropped_node_leaves_the_intern_table(self):
+        gc.collect()
+        before = len(_LIVE)
+        node = Suspension(ProjectiveSpace(987_654))
+        assert len(_LIVE) == before + 2
+        dropped = weakref.ref(node)
+        del node
+        assert dropped() is None and len(_LIVE) == before
+
+    def test_validate_rejects_what_is_not_a_node(self):
+        for bad in ("x", Suspension("x")):
+            with pytest.raises(TypeError, match="not a variety expression"):
+                validate(bad)
+
+    def test_validate_keeps_the_attributes_on_the_node(self):
+        x = Product(ProjectiveSpace(2), Suspension(Point()))
+        assert validate(x) is x.validated is validate(x)
+        assert x.right.validated == validate(Suspension(Point()))
+
+    def test_repeated_text_parses_to_a_dag(self):
+        x = parse("prod(susp(P(2)),susp(P(2)))")
+        assert x.left is x.right is Suspension(ProjectiveSpace(2))
+
+    def test_towers_built_apart_are_one_object(self):
+        def tower():
+            x = Point()
+            for _ in range(30):
+                x = Product(x, x)
+            return x
+
+        start = time.perf_counter()
+        a, b = tower(), tower()
+        assert a is b and a == b and hash(a) == hash(b)
+        assert evaluate(a) == evaluate(b)
+        assert time.perf_counter() - start < 0.05
